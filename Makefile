@@ -57,13 +57,14 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec and assembler fuzz targets for a minute each
-# (CI runs a 10-second smoke; this is the pre-commit depth).
+# Exercise the trace codec, assembler and VM fuzz targets for a minute
+# each (CI runs a 10-second smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
 # cache; later `iramsim -replay $(TRACE_DIR) ...` runs skip the VM.

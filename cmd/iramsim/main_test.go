@@ -116,10 +116,11 @@ func TestSweepDeterminismWithCache(t *testing.T) {
 
 // TestFastPathMatchesReplayTables: the rendered Figure 7/8 (and
 // dependent Table 3) output must be byte-identical whether the
-// measurements come from the single-pass stack-distance fast path
-// (the default) or from per-configuration cache replay. Together with
-// TestSweepDeterminism above — which runs the fast path — this extends
-// the determinism guarantee to cover both measurement paths.
+// measurements come from the simulator's single-pass CacheSet (the
+// default) or from per-configuration cache replay (replayCaches).
+// Together with TestSweepDeterminism above — which runs the fast path —
+// this extends the determinism guarantee to cover both measurement
+// paths.
 func TestFastPathMatchesReplayTables(t *testing.T) {
 	opts := quickOpts()
 	names := []string{"fig7", "fig8", "table3"}
@@ -131,7 +132,7 @@ func TestFastPathMatchesReplayTables(t *testing.T) {
 		return buf.Bytes()
 	}
 	fast := render(experiments.NewMeasurementSet(opts))
-	replay := render(experiments.NewReplayMeasurementSet(opts))
+	replay := render(newReplayMeasurementSet(opts))
 	if len(fast) == 0 {
 		t.Fatal("fast path produced no output")
 	}

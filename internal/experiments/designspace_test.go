@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpumodel"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // dsQuick returns the reduced-fidelity options the designspace tests
@@ -51,6 +53,41 @@ func TestDesignspaceMatchesPerPoint(t *testing.T) {
 	if a := res.Accounting; a.Passes > a.Families*a.Benches {
 		t.Errorf("accounting: %d passes for %d families x %d benches", a.Passes, a.Families, a.Benches)
 	}
+}
+
+// designPointReference is the per-point path — one full trace pass per
+// (geometry, bench) through a one-point CacheSet plus a GSPN run — the
+// oracle the multi-point family search is verified against.
+func designPointReference(o Options, dev core.Device, p DesignPoint, bench string) (DesignRow, error) {
+	w, err := workload.ByName(bench)
+	if err != nil {
+		return DesignRow{}, err
+	}
+	m, err := workload.RunDevicesFrom(w, o.Budget, dev, core.Reference(), o.source())
+	if err != nil {
+		return DesignRow{}, err
+	}
+	cs := m.Caches
+	withVictim := p.VictimEntries > 0
+	d := cs.PropDStats()
+	if withVictim {
+		d = cs.PropDVictimStats()
+	}
+	rates := m.Rates(true, withVictim)
+	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
+	if err != nil {
+		return DesignRow{}, err
+	}
+	return DesignRow{
+		Point:    p,
+		Bench:    bench,
+		IMissPct: cs.PropIStats().Ifetch.Percent(),
+		DMissPct: d.Data().Percent(),
+		AreaMM2:  dev.AreaMM2(),
+		MemCPI:   r.MemCPI,
+		TotalCPI: r.TotalCPI,
+		HasCPI:   true,
+	}, nil
 }
 
 // TestDesignspaceRefinementZeroIsExhaustive: with a stride-1 coarse

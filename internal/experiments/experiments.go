@@ -140,10 +140,10 @@ func Quick() Options {
 // simulates it and the others block until that result is ready, so a
 // workload is never simulated twice.
 type MeasurementSet struct {
-	opts   Options
-	replay bool
-	mu     sync.Mutex
-	m      map[string]*msEntry
+	opts    Options
+	measure func(workload.Workload) (*workload.Measurement, error)
+	mu      sync.Mutex
+	m       map[string]*msEntry
 }
 
 // msEntry is one workload's single-flight slot.
@@ -155,16 +155,16 @@ type msEntry struct {
 
 // NewMeasurementSet creates an empty cache keyed by the options.
 func NewMeasurementSet(o Options) *MeasurementSet {
-	return &MeasurementSet{opts: o, m: make(map[string]*msEntry)}
+	return NewMeasurementSetWith(o, func(w workload.Workload) (*workload.Measurement, error) {
+		return workload.RunDevicesFrom(w, o.Budget, o.Device(), core.Reference(), o.source())
+	})
 }
 
-// NewReplayMeasurementSet is NewMeasurementSet but with every workload
-// measured by per-configuration cache replay instead of the
-// stack-distance fast path. The two must produce identical results; it
-// exists so tests (and a skeptical user) can regenerate any figure on
-// the reference path.
-func NewReplayMeasurementSet(o Options) *MeasurementSet {
-	return &MeasurementSet{opts: o, replay: true, m: make(map[string]*msEntry)}
+// NewMeasurementSetWith is NewMeasurementSet with every workload
+// measured by measure instead of the simulator's CacheSet: the seam
+// that lets tests render any figure from a reference cache oracle.
+func NewMeasurementSetWith(o Options, measure func(workload.Workload) (*workload.Measurement, error)) *MeasurementSet {
+	return &MeasurementSet{opts: o, measure: measure, m: make(map[string]*msEntry)}
 }
 
 // Get measures the workload (once, even under concurrent callers).
@@ -177,13 +177,7 @@ func (s *MeasurementSet) Get(w workload.Workload) (*workload.Measurement, error)
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		prop, ref := s.opts.Device(), core.Reference()
-		src := s.opts.source()
-		if s.replay {
-			e.m, e.err = workload.RunReplayDevicesFrom(w, s.opts.Budget, prop, ref, src)
-		} else {
-			e.m, e.err = workload.RunDevicesFrom(w, s.opts.Budget, prop, ref, src)
-		}
+		e.m, e.err = s.measure(w)
 		if e.err == nil {
 			// Single-flight makes this the one place a workload's
 			// measurement materialises, so each workload publishes its

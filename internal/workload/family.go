@@ -33,10 +33,11 @@ type FamilyPoint struct {
 // victim hit deliberately does not refill the main cache, so the main
 // cache diverges from pure LRU), which no histogram captures. Each
 // distinct (banks, ways, victim) combination therefore keeps a
-// cache.WithVictim compound replayed in the same pass — fed every data
-// reference, exactly as CacheSet feeds its single victim compound — so
-// family results stay bit-identical to the per-point path. The victim
-// axis multiplies in-pass replay work, not trace passes.
+// cache.WithVictim compound replayed in the same pass, fed every data
+// reference, so family results stay bit-identical to simulating each
+// point's caches on their own. The victim axis multiplies in-pass
+// replay work, not trace passes. CacheSet measures the proposed device
+// as a one-point family.
 //
 // Runs of references to the same column line collapse into pending
 // repeat counters flushed on line change: per the stack-distance
@@ -166,10 +167,9 @@ func (f *FamilyCacheSet) Ref(r trace.Ref) {
 		return
 	}
 	f.counts.Ref(r)
-	// Victim compounds replay every data reference (matching CacheSet,
-	// which feeds its compound before any run-collapse check): a repeat
-	// after a victim hit is not a main-cache MRU hit, so compounds
-	// cannot share the run collapse.
+	// Victim compounds replay every data reference, before any
+	// run-collapse check: a repeat after a victim hit is not a
+	// main-cache MRU hit, so compounds cannot share the run collapse.
 	for _, v := range f.vics {
 		v.Access(r.Addr, r.Kind)
 	}
@@ -193,17 +193,22 @@ func (f *FamilyCacheSet) Refs(rs []trace.Ref) {
 func (f *FamilyCacheSet) RefCounts() trace.Counts { return f.counts }
 
 // IStats returns the direct-mapped column-buffer I-cache statistics for
-// the given bank count.
+// the given bank count. Pending same-line repeats count as the hits
+// they will be once flushed; reading changes no state, so a finished
+// measurement may be read from several goroutines at once.
 func (f *FamilyCacheSet) IStats(banks int) cache.Stats {
-	f.flushI()
-	return setStats(f.iprof, uint64(banks), 1)
+	s := setStats(f.iprof, uint64(banks), 1)
+	s.Ifetch.Total += f.iPend
+	return s
 }
 
 // DStats returns the victimless column-buffer D-cache statistics for
-// the given bank count and associativity.
+// the given bank count and associativity, read like IStats.
 func (f *FamilyCacheSet) DStats(banks, ways int) cache.Stats {
-	f.flushD()
-	return setStats(f.dprof, uint64(banks), ways)
+	s := setStats(f.dprof, uint64(banks), ways)
+	s.Load.Total += f.dPend[trace.Load]
+	s.Store.Total += f.dPend[trace.Store]
+	return s
 }
 
 // DVictimStats returns the D-cache-plus-victim statistics for a
@@ -242,22 +247,6 @@ func RunFamily(w Workload, budget int64, f *FamilyCacheSet, src Source) (*Family
 // GSPN inputs, matching Measurement.Rates(true, p.VictimEntries > 0) on
 // the corresponding device bit for bit.
 func (m *FamilyMeasurement) Rates(p FamilyPoint) cpumodel.AppRates {
-	counts := m.Set.RefCounts()
-	app := cpumodel.AppRates{
-		Name:      m.Workload.Name,
-		BaseCPI:   m.Workload.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
-	app.IHit = 1 - m.Set.IStats(p.Banks).Ifetch.Rate()
-	d := m.Set.DStats(p.Banks, p.Ways)
-	if p.VictimEntries > 0 {
-		d = m.Set.DVictimStats(p)
-	}
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
-	return app
+	return AppRates(m.Workload.Name, max(m.Workload.BaseCPI, 1), m.Set.RefCounts(),
+		m.Set.IStats(p.Banks), m.Set.DVictimStats(p))
 }

@@ -8,10 +8,12 @@ import (
 
 // TestFamilyMatchesPerPoint is the design-space equivalence anchor: one
 // family pass must report, for every (banks, ways, victim) point, the
-// exact statistics the per-point measurement path (one CacheSet per
-// device, one trace pass per point) reports — including the
-// victim-compound replays, whose eviction-order state cannot come from
-// the histograms.
+// exact statistics the replay oracle (one simulated cache per
+// organisation, built from the device fields, one trace pass per
+// point) reports — including the victim-compound replays, whose
+// eviction-order state cannot come from the histograms. The oracle,
+// not RunDevices, is the reference: CacheSet is itself a one-point
+// family.
 func TestFamilyMatchesPerPoint(t *testing.T) {
 	points := []FamilyPoint{
 		{Banks: 8, Ways: 1, VictimEntries: 0},
@@ -36,7 +38,7 @@ func TestFamilyMatchesPerPoint(t *testing.T) {
 				if err := dev.Validate(); err != nil {
 					t.Fatalf("col=%d %+v: %v", col, p, err)
 				}
-				m, err := RunDevices(w, 120_000, dev, core.Reference())
+				m, err := RunReplayDevices(w, 120_000, dev, core.Reference())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -99,25 +99,9 @@ func (s *FamilySummary) DVictimStats(p FamilyPoint) cache.Stats {
 }
 
 // Rates converts one family point's statistics into integrated-system
-// GSPN inputs. The arithmetic replicates FamilyMeasurement.Rates
-// operation for operation, so a summary read back from the result
-// cache feeds the GSPN bit-identical inputs.
+// GSPN inputs through the same derivation as FamilyMeasurement.Rates,
+// so a summary read back from the result cache feeds the GSPN
+// bit-identical inputs.
 func (s *FamilySummary) Rates(p FamilyPoint) cpumodel.AppRates {
-	app := cpumodel.AppRates{
-		Name:      s.Bench,
-		BaseCPI:   s.BaseCPI,
-		LoadFrac:  s.Refs.LoadFrac(),
-		StoreFrac: s.Refs.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
-	app.IHit = 1 - s.IStats(p.Banks).Ifetch.Rate()
-	d := s.DStats(p.Banks, p.Ways)
-	if p.VictimEntries > 0 {
-		d = s.DVictimStats(p)
-	}
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
-	return app
+	return AppRates(s.Bench, max(s.BaseCPI, 1), s.Refs, s.IStats(p.Banks), s.DVictimStats(p))
 }

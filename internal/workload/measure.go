@@ -13,22 +13,6 @@ import (
 	"repro/internal/vm"
 )
 
-// convLineSize and propLineSize are the paper's two line sizes:
-// conventional caches use 32 B lines (core.Reference's L1 line), the
-// proposed column-buffer caches 512 B lines (one DRAM column buffer,
-// core.Proposed's D-cache line). The measurement sets derive their
-// actual geometries from the devices they are built for; these named
-// defaults remain for the grid documentation and the ablations.
-const (
-	convLineSize = 32
-	propLineSize = 512
-)
-
-// RefL1KB is the reference system's first-level cache size in KB
-// (core.Reference().ICacheBytes >> 10): the grid point whose misses
-// feed the L2 and whose rates parameterise the reference GSPN.
-const RefL1KB = 16
-
 // ConvISizesKB and ConvDSizesKB are the conventional cache sizes
 // plotted in Figures 7 and 8, in ascending order (iterate these — not a
 // map — when deterministic output order matters).
@@ -40,62 +24,59 @@ var (
 // CacheMeasurer is what one simulation pass of a workload produces:
 // miss statistics for every cache organisation in the Figure 7/8 grids,
 // the proposed column-buffer caches of Tables 3/4, and the reference
-// system's L2. Two implementations exist — CacheSet, the single-pass
-// stack-distance profiler, and ReplayCacheSet, the original
-// one-simulated-cache-per-configuration path — and they produce
-// identical statistics (see TestFastMatchesReplay).
+// system's L1 and L2. CacheSet is the one implementation the simulator
+// uses; the interface is the seam that lets tests substitute the
+// one-simulated-cache-per-configuration replay oracle and check that
+// both report identical statistics (see TestFastMatchesReplay).
 type CacheMeasurer interface {
 	trace.Sink
 	// RefCounts tallies the reference stream by kind.
 	RefCounts() trace.Counts
-	// PropIStats is the proposed 8 KB DM 512 B I-cache.
+	// PropIStats is the proposed direct-mapped column-buffer I-cache.
 	PropIStats() cache.Stats
-	// PropDStats is the proposed 16 KB 2-way 512 B D-cache, no victim.
+	// PropDStats is the proposed column-buffer D-cache, no victim.
 	PropDStats() cache.Stats
-	// PropDVictimStats is the proposed D-cache plus 16×32 B victim.
+	// PropDVictimStats is the proposed D-cache plus its victim cache
+	// (the D-cache alone when the device has none).
 	PropDVictimStats() cache.Stats
-	// ConvIStats is the conventional DM 32 B I-cache of the given size.
+	// ConvIStats is the conventional DM I-cache of the given size.
 	ConvIStats(kb int) cache.Stats
-	// ConvDMStats is the conventional DM 32 B D-cache of the given size.
+	// ConvDMStats is the conventional DM D-cache of the given size.
 	ConvDMStats(kb int) cache.Stats
-	// Conv2WStats is the conventional 2-way 32 B D-cache of the given size.
+	// Conv2WStats is the conventional 2-way D-cache of the given size.
 	Conv2WStats(kb int) cache.Stats
-	// L2Stats is the reference system's 256 KB 2-way unified L2, which
-	// sees only misses from the 16 KB first-level pair.
+	// L1Stats is the reference system's first-level I- and D-cache
+	// pair: the conventional grid points whose misses feed the L2.
+	L1Stats() (i, d cache.Stats)
+	// L2Stats is the reference system's unified L2, which sees only
+	// misses from the first-level pair.
 	L2Stats() cache.Stats
 }
 
 // CacheSet measures every Figure 7/8 configuration in a single profiled
-// pass. Instead of simulating one cache per grid point, it maintains
-// four stack-distance set profilers (conventional-I, proposed-I,
-// conventional-D, proposed-D) whose per-set LRU position histograms
-// answer every set count × associativity in the grid exactly
-// (internal/stackdist). Two organisations the profilers cannot express
-// still replay: the victim cache (its contents depend on eviction
-// order) and the L2 (it sees a conditional stream — only first-level
-// misses). Runs of references to the same 32 B line — the common case
-// for instruction fetches, at 8 instructions per line — collapse into
-// MRU-hit counter bumps without touching any LRU state.
+// pass. The proposed column-buffer caches are a one-point
+// FamilyCacheSet, the same engine the design-space search runs. The
+// conventional grid adds two stack-distance set profilers
+// (conventional-I, conventional-D) whose per-set LRU position
+// histograms answer every set count × associativity in the grid
+// exactly (internal/stackdist). The reference system's L2 replays: it
+// sees a conditional stream, only first-level misses, which the L1
+// trackers' LRU positions route to it. Runs of references to the same
+// conventional line — the common case for instruction fetches —
+// collapse into MRU-hit counter bumps without touching any LRU state.
 type CacheSet struct {
-	counts trace.Counts
+	*FamilyCacheSet             // the proposed column-buffer caches
+	prop            FamilyPoint // the proposed organisation's one family point
 
 	iconv *stackdist.SetProfiler // conventional lines, ifetch stream
-	iprop *stackdist.SetProfiler // column-buffer lines, ifetch stream
 	dconv *stackdist.SetProfiler // conventional lines, data stream
-	dprop *stackdist.SetProfiler // column-buffer lines, data stream
-	vic   *cache.WithVictim      // replay fallback: eviction-order state (nil: no victim)
 	l2    *cache.SetAssoc        // replay fallback: conditional stream (nil: no L2)
 
-	ipSets uint64 // proposed I-cache geometry in the iprop profiler
-	dpSets uint64 // proposed D-cache geometry in the dprop profiler
-	dpWays int
-
-	i16 int // iconv tracker index of the reference L1 geometry (512 sets)
-	d16 int // dconv tracker index of the same
-
-	convShift uint   // log2 of the conventional line size
-	lastILine uint64 // previous ifetch conventional line + 1 (0 = none)
-	lastDLine uint64 // previous load/store conventional line + 1 (0 = none)
+	convShift    uint   // log2 of the conventional line size
+	iL1, dL1     int    // iconv/dconv tracker indices of the reference L1 pair
+	l1IKB, l1DKB int    // reference L1 I- and D-cache sizes in KB
+	lastILine    uint64 // previous ifetch conventional line + 1 (0 = none)
+	lastDLine    uint64 // previous load/store conventional line + 1 (0 = none)
 }
 
 // NewCacheSet builds the profilers and fallback models for one run of
@@ -106,9 +87,13 @@ func NewCacheSet() *CacheSet {
 
 // NewCacheSetFor builds the measurement set for an explicit device
 // pair: prop supplies the column-buffer cache geometries (and victim
-// cache), ref the conventional line size, the L1 grid point feeding the
-// L2, and the L2 itself. The conventional size grids stay on the
-// Figure 7/8 axes; ref's L1 sizes must lie on them.
+// cache), ref the conventional line size, the L1 pair feeding the L2,
+// and the L2 itself. The proposed caches are measured as one family
+// point at the DRAM column size: core.Device.Validate pins the I-cache
+// to banks × column lines, the D-cache to ways × banks × column and the
+// victim cache to one column, and the D-cache line is taken to be the
+// column as well. The conventional size grids stay on the Figure 7/8
+// axes; ref's L1 sizes must lie on them.
 func NewCacheSetFor(prop, ref core.Device) *CacheSet {
 	convLine := uint64(ref.DCacheLineBytes)
 	var ig []stackdist.Geometry
@@ -121,73 +106,54 @@ func NewCacheSetFor(prop, ref core.Device) *CacheSet {
 			stackdist.Geometry{Sets: uint64(kb) << 10 / convLine, Ways: 1},
 			stackdist.Geometry{Sets: uint64(kb) << 10 / (2 * convLine), Ways: 2})
 	}
+	p := FamilyPoint{Banks: prop.DRAM.Banks, Ways: prop.DCacheWays, VictimEntries: prop.VictimEntries}
 	cs := &CacheSet{
-		ipSets: uint64(prop.ICacheBytes / prop.ICacheLineBytes),
-		dpSets: uint64(prop.DCacheBytes / (prop.DCacheWays * prop.DCacheLineBytes)),
-		dpWays: prop.DCacheWays,
-	}
-	cs.iconv = stackdist.NewSetProfiler(convLine, ig)
-	cs.iprop = stackdist.NewSetProfiler(uint64(prop.ICacheLineBytes),
-		[]stackdist.Geometry{{Sets: cs.ipSets, Ways: 1}})
-	cs.dconv = stackdist.NewSetProfiler(convLine, dg)
-	cs.dprop = stackdist.NewSetProfiler(uint64(prop.DCacheLineBytes),
-		[]stackdist.Geometry{{Sets: cs.dpSets, Ways: cs.dpWays}})
-	if prop.VictimEntries > 0 {
-		cs.vic = cache.NewWithVictim(
-			cache.NewSetAssoc("prop D + victim main", uint64(prop.DCacheBytes),
-				uint64(prop.DCacheLineBytes), prop.DCacheWays),
-			cache.NewVictim(prop.VictimEntries, uint64(prop.VictimLineBytes)))
+		FamilyCacheSet: NewFamilyCacheSet(prop.DRAM.ColumnBytes, []FamilyPoint{p}),
+		prop:           p,
+		iconv:          stackdist.NewSetProfiler(convLine, ig),
+		dconv:          stackdist.NewSetProfiler(convLine, dg),
+		convShift:      uint(bits.TrailingZeros64(convLine)),
+		l1IKB:          ref.ICacheBytes >> 10,
+		l1DKB:          ref.DCacheBytes >> 10,
 	}
 	if ref.L2Bytes > 0 {
 		cs.l2 = cache.NewSetAssoc(
 			fmt.Sprintf("%dKB %d-way %dB unified L2", ref.L2Bytes>>10, ref.L2Ways, ref.L2LineBytes),
 			uint64(ref.L2Bytes), uint64(ref.L2LineBytes), ref.L2Ways)
 	}
-	cs.convShift = uint(bits.TrailingZeros64(convLine))
-	cs.i16 = cs.iconv.TrackerIndex(uint64(ref.ICacheBytes) / convLine)
-	cs.d16 = cs.dconv.TrackerIndex(uint64(ref.DCacheBytes) / convLine)
+	cs.iL1 = cs.iconv.TrackerIndex(uint64(ref.ICacheBytes) / convLine)
+	cs.dL1 = cs.dconv.TrackerIndex(uint64(ref.DCacheBytes) / convLine)
 	return cs
 }
 
 // Ref implements trace.Sink: one reference drives every measurement.
 func (cs *CacheSet) Ref(r trace.Ref) {
+	cs.FamilyCacheSet.Ref(r)
 	line := r.Addr >> cs.convShift
 	if r.Kind == trace.Ifetch {
-		cs.counts.Ifetches++
 		if line+1 == cs.lastILine {
 			// Same line as the previous fetch: an MRU hit in every
-			// tracked I-geometry (both line sizes), and necessarily a
-			// 16 KB first-level hit, so the L2 never sees it.
+			// tracked I-geometry, and necessarily a first-level hit,
+			// so the L2 never sees it.
 			cs.iconv.AddRepeats(trace.Ifetch, 1)
-			cs.iprop.AddRepeats(trace.Ifetch, 1)
 			return
 		}
 		cs.lastILine = line + 1
 		cs.iconv.Access(r.Addr, trace.Ifetch)
-		cs.iprop.Access(r.Addr, trace.Ifetch)
-		// The reference system's L2 sees 16 KB first-level I misses:
-		// the DM 16 KB cache hit iff the access hit at LRU position 0.
-		if cs.l2 != nil && cs.iconv.Pos[cs.i16] != 0 {
+		// The reference system's L2 sees first-level I misses: the DM
+		// L1 hit iff the access hit at LRU position 0.
+		if cs.l2 != nil && cs.iconv.Pos[cs.iL1] != 0 {
 			cs.l2.Access(r.Addr, trace.Ifetch)
 		}
 		return
 	}
-	cs.counts.Ref(r)
-	// The victim-cache organisation replays every data reference: its
-	// contents depend on main-cache eviction order and sub-block
-	// recency, which no stack-distance histogram captures.
-	if cs.vic != nil {
-		cs.vic.Access(r.Addr, r.Kind)
-	}
 	if line+1 == cs.lastDLine {
 		cs.dconv.AddRepeats(r.Kind, 1)
-		cs.dprop.AddRepeats(r.Kind, 1)
 		return
 	}
 	cs.lastDLine = line + 1
 	cs.dconv.Access(r.Addr, r.Kind)
-	cs.dprop.Access(r.Addr, r.Kind)
-	if cs.l2 != nil && cs.dconv.Pos[cs.d16] != 0 {
+	if cs.l2 != nil && cs.dconv.Pos[cs.dL1] != 0 {
 		cs.l2.Access(r.Addr, r.Kind)
 	}
 }
@@ -199,9 +165,6 @@ func (cs *CacheSet) Refs(rs []trace.Ref) {
 	}
 }
 
-// RefCounts implements CacheMeasurer.
-func (cs *CacheSet) RefCounts() trace.Counts { return cs.counts }
-
 // setStats assembles per-kind miss statistics for one geometry.
 func setStats(p *stackdist.SetProfiler, sets uint64, ways int) cache.Stats {
 	return cache.Stats{
@@ -212,33 +175,32 @@ func setStats(p *stackdist.SetProfiler, sets uint64, ways int) cache.Stats {
 }
 
 // PropIStats implements CacheMeasurer.
-func (cs *CacheSet) PropIStats() cache.Stats { return setStats(cs.iprop, cs.ipSets, 1) }
+func (cs *CacheSet) PropIStats() cache.Stats { return cs.IStats(cs.prop.Banks) }
 
 // PropDStats implements CacheMeasurer.
-func (cs *CacheSet) PropDStats() cache.Stats { return setStats(cs.dprop, cs.dpSets, cs.dpWays) }
+func (cs *CacheSet) PropDStats() cache.Stats { return cs.DStats(cs.prop.Banks, cs.prop.Ways) }
 
-// PropDVictimStats implements CacheMeasurer. Without a victim cache it
-// is simply the D-cache.
-func (cs *CacheSet) PropDVictimStats() cache.Stats {
-	if cs.vic == nil {
-		return cs.PropDStats()
-	}
-	return cs.vic.Stats()
-}
+// PropDVictimStats implements CacheMeasurer.
+func (cs *CacheSet) PropDVictimStats() cache.Stats { return cs.DVictimStats(cs.prop) }
 
 // ConvIStats implements CacheMeasurer.
 func (cs *CacheSet) ConvIStats(kb int) cache.Stats {
-	return setStats(cs.iconv, uint64(kb)<<10/convLineSize, 1)
+	return setStats(cs.iconv, uint64(kb)<<10>>cs.convShift, 1)
 }
 
 // ConvDMStats implements CacheMeasurer.
 func (cs *CacheSet) ConvDMStats(kb int) cache.Stats {
-	return setStats(cs.dconv, uint64(kb)<<10/convLineSize, 1)
+	return setStats(cs.dconv, uint64(kb)<<10>>cs.convShift, 1)
 }
 
 // Conv2WStats implements CacheMeasurer.
 func (cs *CacheSet) Conv2WStats(kb int) cache.Stats {
-	return setStats(cs.dconv, uint64(kb)<<10/(2*convLineSize), 2)
+	return setStats(cs.dconv, uint64(kb)<<10>>cs.convShift/2, 2)
+}
+
+// L1Stats implements CacheMeasurer.
+func (cs *CacheSet) L1Stats() (i, d cache.Stats) {
+	return cs.ConvIStats(cs.l1IKB), cs.ConvDMStats(cs.l1DKB)
 }
 
 // L2Stats implements CacheMeasurer.
@@ -247,154 +209,6 @@ func (cs *CacheSet) L2Stats() cache.Stats {
 		return cache.Stats{}
 	}
 	return cs.l2.Stats()
-}
-
-// ReplayCacheSet is the original measurement path: one simulated cache
-// per configuration, every reference replayed through all of them. It
-// is retained as the fallback/oracle the fast path is verified against,
-// and for organisations outside the profiled grid.
-type ReplayCacheSet struct {
-	// Proposed organisation.
-	PropI       *cache.SetAssoc   // 8 KB DM, 512 B lines (column buffers)
-	PropD       *cache.SetAssoc   // 16 KB 2-way, 512 B lines, no victim
-	PropDVictim *cache.WithVictim // same + 16×32 B victim cache
-
-	// Conventional I-caches, direct-mapped, 32 B lines (Figure 7 bars).
-	ConvI map[int]*cache.SetAssoc // size KB -> cache
-
-	// Conventional D-caches, 32 B lines (Figure 8 bars).
-	ConvD1 map[int]*cache.SetAssoc // direct-mapped, size KB -> cache
-	ConvD2 map[int]*cache.SetAssoc // 2-way, size KB -> cache
-
-	// Reference-system second-level cache (unified, 2-way, 32 B lines,
-	// 256 KB): sees only first-level misses from the 16 KB ConvI/ConvD1
-	// pair, exactly as in the Figure 10 grey components.
-	L2 *cache.SetAssoc
-
-	Counts trace.Counts
-
-	refKB int // the L1 grid point whose misses feed the L2
-}
-
-// NewReplayCacheSet builds fresh caches for one replay measurement run
-// of the paper's configurations.
-func NewReplayCacheSet() *ReplayCacheSet {
-	return NewReplayCacheSetFor(core.Proposed(), core.Reference())
-}
-
-// NewReplayCacheSetFor is NewCacheSetFor's replay-path counterpart.
-func NewReplayCacheSetFor(prop, ref core.Device) *ReplayCacheSet {
-	convLine := uint64(ref.DCacheLineBytes)
-	cs := &ReplayCacheSet{
-		PropI: cache.NewSetAssoc(
-			fmt.Sprintf("prop %dKB DM %dB I", prop.ICacheBytes>>10, prop.ICacheLineBytes),
-			uint64(prop.ICacheBytes), uint64(prop.ICacheLineBytes), 1),
-		PropD: cache.NewSetAssoc(
-			fmt.Sprintf("prop %dKB %d-way %dB D", prop.DCacheBytes>>10, prop.DCacheWays, prop.DCacheLineBytes),
-			uint64(prop.DCacheBytes), uint64(prop.DCacheLineBytes), prop.DCacheWays),
-		ConvI:  make(map[int]*cache.SetAssoc),
-		ConvD1: make(map[int]*cache.SetAssoc),
-		ConvD2: make(map[int]*cache.SetAssoc),
-		refKB:  ref.ICacheBytes >> 10,
-	}
-	if prop.VictimEntries > 0 {
-		cs.PropDVictim = cache.NewWithVictim(
-			cache.NewSetAssoc("prop D + victim main", uint64(prop.DCacheBytes),
-				uint64(prop.DCacheLineBytes), prop.DCacheWays),
-			cache.NewVictim(prop.VictimEntries, uint64(prop.VictimLineBytes)))
-	}
-	if ref.L2Bytes > 0 {
-		cs.L2 = cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB unified L2", ref.L2Bytes>>10, ref.L2Ways, ref.L2LineBytes),
-			uint64(ref.L2Bytes), uint64(ref.L2LineBytes), ref.L2Ways)
-	}
-	for _, kb := range ConvISizesKB {
-		cs.ConvI[kb] = cache.NewDirectMapped(
-			fmt.Sprintf("%dKB DM 32B I", kb), uint64(kb)<<10, convLine)
-	}
-	for _, kb := range ConvDSizesKB {
-		cs.ConvD1[kb] = cache.NewDirectMapped(
-			fmt.Sprintf("%dKB DM 32B D", kb), uint64(kb)<<10, convLine)
-		cs.ConvD2[kb] = cache.NewSetAssoc(
-			fmt.Sprintf("%dKB 2-way 32B D", kb), uint64(kb)<<10, convLine, 2)
-	}
-	return cs
-}
-
-// Ref implements trace.Sink: one reference drives every cache model.
-func (cs *ReplayCacheSet) Ref(r trace.Ref) {
-	cs.Counts.Ref(r)
-	if r.Kind == trace.Ifetch {
-		cs.PropI.Access(r.Addr, r.Kind)
-		hit16 := false
-		for kb, c := range cs.ConvI {
-			if c.Access(r.Addr, r.Kind) && kb == cs.refKB {
-				hit16 = true
-			}
-		}
-		// The reference system's L2 sees first-level I misses.
-		if cs.L2 != nil && !hit16 {
-			cs.L2.Access(r.Addr, r.Kind)
-		}
-		return
-	}
-	cs.PropD.Access(r.Addr, r.Kind)
-	if cs.PropDVictim != nil {
-		cs.PropDVictim.Access(r.Addr, r.Kind)
-	}
-	hit16 := false
-	for kb, c := range cs.ConvD1 {
-		if c.Access(r.Addr, r.Kind) && kb == cs.refKB {
-			hit16 = true
-		}
-	}
-	for _, c := range cs.ConvD2 {
-		c.Access(r.Addr, r.Kind)
-	}
-	if cs.L2 != nil && !hit16 {
-		cs.L2.Access(r.Addr, r.Kind)
-	}
-}
-
-// Refs implements trace.BatchSink.
-func (cs *ReplayCacheSet) Refs(rs []trace.Ref) {
-	for i := range rs {
-		cs.Ref(rs[i])
-	}
-}
-
-// RefCounts implements CacheMeasurer.
-func (cs *ReplayCacheSet) RefCounts() trace.Counts { return cs.Counts }
-
-// PropIStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropIStats() cache.Stats { return cs.PropI.Stats() }
-
-// PropDStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropDStats() cache.Stats { return cs.PropD.Stats() }
-
-// PropDVictimStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropDVictimStats() cache.Stats {
-	if cs.PropDVictim == nil {
-		return cs.PropD.Stats()
-	}
-	return cs.PropDVictim.Stats()
-}
-
-// ConvIStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) ConvIStats(kb int) cache.Stats { return cs.ConvI[kb].Stats() }
-
-// ConvDMStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) ConvDMStats(kb int) cache.Stats { return cs.ConvD1[kb].Stats() }
-
-// Conv2WStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) Conv2WStats(kb int) cache.Stats { return cs.ConvD2[kb].Stats() }
-
-// L2Stats implements CacheMeasurer.
-func (cs *ReplayCacheSet) L2Stats() cache.Stats {
-	if cs.L2 == nil {
-		return cache.Stats{}
-	}
-	return cs.L2.Stats()
 }
 
 // Source produces a workload's reference stream. The two
@@ -497,23 +311,6 @@ func RunDevicesFrom(w Workload, budget int64, prop, ref core.Device, src Source)
 	return runWith(w, budget, NewCacheSetFor(prop, ref), src)
 }
 
-// RunReplay is Run on the per-configuration cache-replay path. The two
-// paths produce identical statistics; it exists as the oracle for tests
-// and as the template for organisations the profilers cannot express.
-func RunReplay(w Workload, budget int64) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSet(), Live{})
-}
-
-// RunReplayDevices is RunReplay against an explicit device pair.
-func RunReplayDevices(w Workload, budget int64, prop, ref core.Device) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSetFor(prop, ref), Live{})
-}
-
-// RunReplayDevicesFrom is RunReplayDevices with an explicit Source.
-func RunReplayDevicesFrom(w Workload, budget int64, prop, ref core.Device, src Source) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSetFor(prop, ref), src)
-}
-
 func runWith(w Workload, budget int64, cs CacheMeasurer, src Source) (*Measurement, error) {
 	instr, err := src.Stream(w, budget, cs)
 	if err != nil {
@@ -525,37 +322,39 @@ func runWith(w Workload, budget int64, cs CacheMeasurer, src Source) (*Measureme
 // Rates converts the measurement into GSPN inputs for the given system.
 // For the integrated system, withVictim selects whether the data-cache
 // hit probability includes the victim cache (Table 4) or not (Table 3).
+// The reference system reads its first-level pair plus the measured
+// conditional L2 hit rates.
 func (m *Measurement) Rates(integrated, withVictim bool) cpumodel.AppRates {
 	cs := m.Caches
-	counts := cs.RefCounts()
-	app := cpumodel.AppRates{
-		Name:      m.Workload.Name,
-		BaseCPI:   m.Workload.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
+	baseCPI := max(m.Workload.BaseCPI, 1)
 	if integrated {
-		app.IHit = 1 - cs.PropIStats().Ifetch.Rate()
 		d := cs.PropDStats()
 		if withVictim {
 			d = cs.PropDVictimStats()
 		}
-		app.LoadHit = 1 - d.Load.Rate()
-		app.StoreHit = 1 - d.Store.Rate()
-		return app
+		return AppRates(m.Workload.Name, baseCPI, cs.RefCounts(), cs.PropIStats(), d)
 	}
-	// Reference system: 16 KB first-level caches + measured conditional
-	// L2 hit rates.
-	app.IHit = 1 - cs.ConvIStats(RefL1KB).Ifetch.Rate()
-	d := cs.ConvDMStats(RefL1KB)
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
+	i, d := cs.L1Stats()
+	app := AppRates(m.Workload.Name, baseCPI, cs.RefCounts(), i, d)
 	l2 := cs.L2Stats()
 	app.IL2Hit = 1 - l2.Ifetch.Rate()
 	app.LoadL2Hit = 1 - l2.Load.Rate()
 	app.StoreL2Hit = 1 - l2.Store.Rate()
 	return app
+}
+
+// AppRates derives GSPN inputs from a reference stream's tallies and
+// the first-level I- and D-cache statistics it produced: the one
+// derivation every measurement path (and the public iram.Run) shares.
+// baseCPI passes through as given; the workload paths floor it at 1.
+func AppRates(name string, baseCPI float64, counts trace.Counts, i, d cache.Stats) cpumodel.AppRates {
+	return cpumodel.AppRates{
+		Name:      name,
+		BaseCPI:   baseCPI,
+		LoadFrac:  counts.LoadFrac(),
+		StoreFrac: counts.StoreFrac(),
+		IHit:      1 - i.Ifetch.Rate(),
+		LoadHit:   1 - d.Load.Rate(),
+		StoreHit:  1 - d.Store.Rate(),
+	}
 }

@@ -138,15 +138,7 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 			StoreMissPct: convD16.Store.Percent(),
 		},
 	}
-	rates := cpumodel.AppRates{
-		Name:      "user-program",
-		BaseCPI:   cfg.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-		IHit:      1 - propI.Ifetch.Rate(),
-		LoadHit:   1 - vicD.Load.Rate(),
-		StoreHit:  1 - vicD.Store.Rate(),
-	}
+	rates := workload.AppRates("user-program", cfg.BaseCPI, counts, propI, vicD)
 	r, err := cpumodel.Evaluate(cpumodel.Integrated(), rates, cfg.GSPNInstructions, cfg.Seed)
 	if err != nil {
 		return nil, err

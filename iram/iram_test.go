@@ -51,6 +51,17 @@ func TestRunSimpleProgram(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBaseCPIBelowOne: a caller-supplied BaseCPI reaches the
+// GSPN unclamped, so a value below 1 is an error rather than silently
+// becoming 1 the way the bundled workloads' table values do.
+func TestRunRejectsBaseCPIBelowOne(t *testing.T) {
+	p := MustAssemble("main: li r1, 1\nhalt")
+	_, err := Run(p, RunConfig{Budget: 10, BaseCPI: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "base CPI 0.5 below 1") {
+		t.Fatalf("Run(BaseCPI 0.5) error = %v, want the GSPN's base CPI error", err)
+	}
+}
+
 func TestWorkloadsList(t *testing.T) {
 	ws := Workloads()
 	if len(ws) != 22 {
