@@ -67,7 +67,7 @@ fuzz:
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
-# cache; later `iramsim -replay $(TRACE_DIR) ...` runs skip the VM.
+# cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.
 TRACE_DIR ?= .trace-cache
 trace-cache:
 	$(GO) run ./cmd/iramsim -record $(TRACE_DIR)
@@ -86,12 +86,11 @@ CACHE_MAX_BYTES ?= 268435456
 cache-gc:
 	$(GO) run ./cmd/iramsim -result-cache $(RESULT_DIR) -result-cache-max-bytes $(CACHE_MAX_BYTES)
 
-# Self-contained iramsimd load test: warm the cache, then serve
-# LOADTEST_N concurrent overlapping requests entirely from cache while
-# a saturated probe server sheds load with 429s.
-LOADTEST_N ?= 8
+# Self-contained iramsimd load test (TestLoadTest): warm the cache,
+# then serve 8 concurrent overlapping requests entirely from cache
+# while a saturated probe server sheds load with 429s.
 loadtest:
-	$(GO) run ./cmd/iramsimd -loadtest $(LOADTEST_N) -j 4
+	$(GO) test -count 1 -run TestLoadTest ./cmd/iramsimd
 
 # Regenerate every experiment at full fidelity (~15 serial minutes,
 # spread across all cores by default; see the iramsim -j flag).

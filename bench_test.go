@@ -36,7 +36,7 @@ func BenchmarkTable1(b *testing.B) {
 	o := quickOpts()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(o)
+		r, err := experiments.Run[*experiments.Table1Result]("table1", o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkFig2(b *testing.B) {
 	o := quickOpts()
 	var beyond float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(o)
+		r, err := experiments.Run[*experiments.Fig2Result]("fig2", o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFig7(b *testing.B) {
 	var fppppRatio float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig7(o, ms)
+		r, err := experiments.Run[*experiments.Fig7Result]("fig7", o, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFig8(b *testing.B) {
 	var victimGain float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig8(o, ms)
+		r, err := experiments.Run[*experiments.Fig8Result]("fig8", o, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,10 @@ func BenchmarkFig7Warm(b *testing.B) {
 	o := quickOpts()
 	run := func() {
 		eng := &sweep.Engine{Workers: 4, Cache: store}
-		job := experiments.Fig7Job(o, experiments.NewMeasurementSet(o))
+		job, err := experiments.JobFor("fig7", o, experiments.NewMeasurementSet(o))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := eng.Run([]sweep.Job{job}, func(sweep.JobResult) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
@@ -139,13 +142,13 @@ func tracedOpts(b *testing.B) experiments.Options {
 // BenchmarkFig7 is the cost of re-executing the workload generators.
 func BenchmarkFig7Replay(b *testing.B) {
 	o := tracedOpts(b)
-	if _, err := experiments.Fig7(o, experiments.NewMeasurementSet(o)); err != nil {
+	if _, err := experiments.Run[*experiments.Fig7Result]("fig7", o, experiments.NewMeasurementSet(o)); err != nil {
 		b.Fatal(err) // untimed recording pass populates the cache
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig7(o, ms); err != nil {
+		if _, err := experiments.Run[*experiments.Fig7Result]("fig7", o, ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,13 +157,13 @@ func BenchmarkFig7Replay(b *testing.B) {
 // BenchmarkFig8Replay is BenchmarkFig8 with recorded traces.
 func BenchmarkFig8Replay(b *testing.B) {
 	o := tracedOpts(b)
-	if _, err := experiments.Fig8(o, experiments.NewMeasurementSet(o)); err != nil {
+	if _, err := experiments.Run[*experiments.Fig8Result]("fig8", o, experiments.NewMeasurementSet(o)); err != nil {
 		b.Fatal(err) // untimed recording pass populates the cache
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig8(o, ms); err != nil {
+		if _, err := experiments.Run[*experiments.Fig8Result]("fig8", o, ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,13 +181,13 @@ func BenchmarkDesignspace(b *testing.B) {
 	o.DSColumns = []int{256, 512}
 	o.DSWays = []int{1, 2}
 	o.DSVictims = []int{0, 16}
-	if _, err := experiments.Designspace(o); err != nil {
+	if _, err := experiments.Run[*experiments.DesignspaceResult]("designspace", o, nil); err != nil {
 		b.Fatal(err) // untimed recording pass populates the trace cache
 	}
 	b.ResetTimer()
 	var pointsPerPass float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Designspace(o)
+		r, err := experiments.Run[*experiments.DesignspaceResult]("designspace", o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +202,7 @@ func BenchmarkFig11(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig11(o, ms); err != nil {
+		if _, err := experiments.Run[*experiments.LatencyResult]("fig11", o, ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +214,7 @@ func BenchmarkFig12(b *testing.B) {
 	var cpi30ns float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig12(o, ms)
+		r, err := experiments.Run[*experiments.LatencyResult]("fig12", o, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +230,7 @@ func BenchmarkTable3(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Table34(o, ms, false); err != nil {
+		if _, err := experiments.Run[*experiments.CPIResult]("table3", o, ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +242,7 @@ func BenchmarkTable4(b *testing.B) {
 	var tomcatv float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Table34(o, ms, true)
+		r, err := experiments.Run[*experiments.CPIResult]("table4", o, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +261,7 @@ func BenchmarkBankSensitivity(b *testing.B) {
 	var util16 float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Banks(o, ms)
+		r, err := experiments.Run[*experiments.BankResult]("banks", o, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,11 +277,11 @@ func BenchmarkBankSensitivity(b *testing.B) {
 // splashBench runs one of Figures 13-17 and reports the victim-config
 // execution time relative to the reference CC-NUMA at the highest
 // processor count.
-func splashBench(b *testing.B, figure int) {
+func splashBench(b *testing.B, name string) {
 	o := quickOpts()
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SplashFigure(o, figure)
+		r, err := experiments.Run[*experiments.SplashResult](name, o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,26 +296,26 @@ func splashBench(b *testing.B, figure int) {
 }
 
 // BenchmarkFig13LU regenerates Figure 13 (LU).
-func BenchmarkFig13LU(b *testing.B) { splashBench(b, 13) }
+func BenchmarkFig13LU(b *testing.B) { splashBench(b, "fig13") }
 
 // BenchmarkFig14MP3D regenerates Figure 14 (MP3D).
-func BenchmarkFig14MP3D(b *testing.B) { splashBench(b, 14) }
+func BenchmarkFig14MP3D(b *testing.B) { splashBench(b, "fig14") }
 
 // BenchmarkFig15Ocean regenerates Figure 15 (OCEAN).
-func BenchmarkFig15Ocean(b *testing.B) { splashBench(b, 15) }
+func BenchmarkFig15Ocean(b *testing.B) { splashBench(b, "fig15") }
 
 // BenchmarkFig16Water regenerates Figure 16 (WATER).
-func BenchmarkFig16Water(b *testing.B) { splashBench(b, 16) }
+func BenchmarkFig16Water(b *testing.B) { splashBench(b, "fig16") }
 
 // BenchmarkFig17Pthor regenerates Figure 17 (PTHOR).
-func BenchmarkFig17Pthor(b *testing.B) { splashBench(b, 17) }
+func BenchmarkFig17Pthor(b *testing.B) { splashBench(b, "fig17") }
 
 // BenchmarkAblateLineSize sweeps the D-cache line size (Section 5.3/5.6
 // design tension).
 func BenchmarkAblateLineSize(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateLineSize(o); err != nil {
+		if _, err := experiments.Run[*experiments.LineSizeResult]("ablate-linesize", o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,7 +326,7 @@ func BenchmarkAblateLineSize(b *testing.B) {
 func BenchmarkAblateVictimSize(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateVictimSize(o); err != nil {
+		if _, err := experiments.Run[*experiments.VictimSizeResult]("ablate-victim", o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,7 +338,7 @@ func BenchmarkAblateCoherenceUnit(b *testing.B) {
 	o := quickOpts()
 	var blowup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblateCoherenceUnit(o)
+		r, err := experiments.Run[*experiments.UnitResult]("ablate-unit", o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +364,7 @@ func BenchmarkAblateCoherenceUnit(b *testing.B) {
 func BenchmarkAblateINC(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateINCAssociativity(o); err != nil {
+		if _, err := experiments.Run[*experiments.INCResult]("ablate-inc", o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,7 +375,7 @@ func BenchmarkAblateScoreboard(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.AblateScoreboard(o, ms); err != nil {
+		if _, err := experiments.Run[*experiments.ScoreboardResult]("ablate-scoreboard", o, ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +386,7 @@ func BenchmarkAblateScoreboard(b *testing.B) {
 func BenchmarkAblateEngines(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateEngines(o); err != nil {
+		if _, err := experiments.Run[*experiments.EngineResult]("ablate-engines", o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runner"
 )
 
 // goldenNames is the quick-fidelity experiment subset the golden test
@@ -27,7 +27,7 @@ func TestQuickGolden(t *testing.T) {
 	opts := quickOpts()
 	ms := experiments.NewMeasurementSet(opts)
 	var buf bytes.Buffer
-	if err := runNames(goldenNames, opts, ms, 1, nil, &buf, io.Discard); err != nil {
+	if err := runNames(goldenNames, opts, ms, runner.Config{Workers: 1}, &buf); err != nil {
 		t.Fatalf("runNames: %v", err)
 	}
 	got := buf.Bytes()
@@ -63,7 +63,7 @@ func TestDesignspaceGolden(t *testing.T) {
 	opts := quickOpts()
 	ms := experiments.NewMeasurementSet(opts)
 	var buf bytes.Buffer
-	if err := runNames([]string{"designspace"}, opts, ms, 1, nil, &buf, io.Discard); err != nil {
+	if err := runNames([]string{"designspace"}, opts, ms, runner.Config{Workers: 1}, &buf); err != nil {
 		t.Fatalf("runNames: %v", err)
 	}
 	got := buf.Bytes()
@@ -135,7 +135,7 @@ func TestMachineFlag(t *testing.T) {
 	opts.Machine = &dev
 	ms := experiments.NewMeasurementSet(opts)
 	var buf bytes.Buffer
-	if err := runNames([]string{"spec", "fig7", "fig8", "fig910", "fig13"}, opts, ms, 1, nil, &buf, io.Discard); err != nil {
+	if err := runNames([]string{"spec", "fig7", "fig8", "fig910", "fig13"}, opts, ms, runner.Config{Workers: 1}, &buf); err != nil {
 		t.Fatalf("runNames with -machine device: %v", err)
 	}
 	out := buf.String()
@@ -151,12 +151,12 @@ func TestMachineFlag(t *testing.T) {
 	defOpts := quickOpts()
 	defMS := experiments.NewMeasurementSet(defOpts)
 	var defBuf bytes.Buffer
-	if err := runNames([]string{"fig7"}, defOpts, defMS, 1, nil, &defBuf, io.Discard); err != nil {
+	if err := runNames([]string{"fig7"}, defOpts, defMS, runner.Config{Workers: 1}, &defBuf); err != nil {
 		t.Fatal(err)
 	}
 	var machBuf bytes.Buffer
 	machMS := experiments.NewMeasurementSet(opts)
-	if err := runNames([]string{"fig7"}, opts, machMS, 1, nil, &machBuf, io.Discard); err != nil {
+	if err := runNames([]string{"fig7"}, opts, machMS, runner.Config{Workers: 1}, &machBuf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(defBuf.Bytes(), machBuf.Bytes()) {

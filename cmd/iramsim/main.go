@@ -6,19 +6,19 @@
 //
 //	iramsim [flags] <experiment> [...]
 //
-// Experiments: table1 fig2 fig7 fig8 fig11 fig12 table3 table4 banks
-// mattson realcpi fig13 fig14 fig15 fig16 fig17 cost all
+// Run iramsim with no arguments for the experiment names, which come
+// from the experiments registry; `all` runs the standard sequence.
 //
 // Flags:
 //
 //	-quick        reduced fidelity (CI-sized runs)
+//	-json         emit experiment results as JSON instead of tables
 //	-budget N     per-workload instruction budget
 //	-seed N       Monte-Carlo seed
 //	-procs list   processor counts for fig13..fig17 (e.g. 1,2,4,8,16)
 //	-machine f    JSON machine description overriding core.Proposed()
 //	-j N          worker goroutines for the experiment sweep
 //	-trace-dir d  workload trace cache: replay recorded streams, record on miss
-//	-replay d     synonym for -trace-dir (replay emphasis)
 //	-record d     re-record workload traces into d; with no experiments,
 //	              pre-populate every workload's stream and exit
 //	-result-cache d   assembled-result cache dir (default .result-cache)
@@ -57,24 +57,15 @@ import (
 	"repro/internal/workload"
 )
 
-// jsonMode switches experiment output from rendered tables to JSON
-// (structured results for downstream plotting).
-var jsonMode bool
-
-// frontierPath is the -ds-frontier flag: when set, any experiment
-// result that can export a Pareto frontier is written there after
-// rendering.
-var frontierPath string
-
 // cliConfig gathers the parsed command-line flags.
 type cliConfig struct {
 	quick         bool
+	json          bool
 	budget, seed  int64
 	procs         string
 	machine       string
 	workers       int
 	record        string
-	replay        string
 	traceDir      string
 	resultCache   string
 	noResultCache bool
@@ -96,14 +87,13 @@ type cliConfig struct {
 func main() {
 	var c cliConfig
 	flag.BoolVar(&c.quick, "quick", false, "reduced-fidelity runs")
-	flag.BoolVar(&jsonMode, "json", false, "emit experiment results as JSON instead of tables")
+	flag.BoolVar(&c.json, "json", false, "emit experiment results as JSON instead of tables")
 	flag.Int64Var(&c.budget, "budget", 0, "per-workload instruction budget (0 = default)")
 	flag.Int64Var(&c.seed, "seed", 1, "Monte-Carlo seed")
 	flag.StringVar(&c.procs, "procs", "", "comma-separated processor counts for fig13..fig17")
 	flag.StringVar(&c.machine, "machine", "", "JSON machine description file (overrides the paper's integrated device)")
 	flag.IntVar(&c.workers, "j", runtime.NumCPU(), "worker goroutines for the experiment sweep")
 	flag.StringVar(&c.traceDir, "trace-dir", "", "workload trace cache dir: replay recorded reference streams, record on miss")
-	flag.StringVar(&c.replay, "replay", "", "replay workload traces from this cache dir (synonym for -trace-dir)")
 	flag.StringVar(&c.record, "record", "", "re-record workload traces into this cache dir; with no experiments, pre-populate every workload and exit")
 	flag.StringVar(&c.resultCache, "result-cache", ".result-cache", "assembled-result cache dir (content-addressed; warm reruns decode instead of simulating)")
 	flag.BoolVar(&c.noResultCache, "no-result-cache", false, "disable the result cache (every unit recomputes)")
@@ -238,14 +228,13 @@ func mainErr(c cliConfig) error {
 
 	cfg := runner.Config{
 		Workers:      c.workers,
-		JSON:         jsonMode,
+		JSON:         c.json,
 		Out:          os.Stdout,
 		Progress:     os.Stderr,
 		TraceDir:     traceDir,
 		RecordTraces: c.record != "",
 		FrontierPath: c.dsFrontier,
 	}
-	frontierPath = c.dsFrontier
 	if !c.noResultCache {
 		cfg.ResultCacheDir = c.resultCache
 	}
@@ -296,24 +285,20 @@ func mainErr(c cliConfig) error {
 	return runErr
 }
 
-// resolveTraceDir folds the three cache-directory spellings into one.
-// -trace-dir and -replay replay cached streams (recording on miss);
-// -record always re-records. Replayed and live streams are
-// reference-for-reference identical, so experiment output does not
-// depend on the mode. Naming two different directories is an error
-// rather than a silent precedence rule.
+// resolveTraceDir folds the two cache-directory flags into one.
+// -trace-dir replays cached streams (recording on miss); -record always
+// re-records. Replayed and live streams are reference-for-reference
+// identical, so experiment output does not depend on the mode. Naming
+// two different directories is an error rather than a silent
+// precedence rule.
 func resolveTraceDir(c cliConfig) (string, error) {
-	dir := c.traceDir
-	for _, d := range []string{c.replay, c.record} {
-		if d == "" {
-			continue
-		}
-		if dir != "" && dir != d {
-			return "", fmt.Errorf("conflicting trace cache dirs %q and %q (-record/-replay/-trace-dir)", dir, d)
-		}
-		dir = d
+	if c.traceDir != "" && c.record != "" && c.traceDir != c.record {
+		return "", fmt.Errorf("conflicting trace cache dirs %q and %q (-record/-trace-dir)", c.traceDir, c.record)
 	}
-	return dir, nil
+	if c.record != "" {
+		return c.record, nil
+	}
+	return c.traceDir, nil
 }
 
 // recordAll pre-populates the trace cache with every workload's
@@ -381,35 +366,11 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return nil
 }
 
-// runNames fans the named experiments' units out over the worker pool
-// and renders each experiment's result, in command-line order, as its
-// units complete. Kept as the byte-identity seam the determinism and
-// golden tests drive; it is a thin adapter over runner.RunJobs.
-func runNames(names []string, opts experiments.Options, ms *experiments.MeasurementSet,
-	workers int, tracer *obs.Tracer, out io.Writer, progress io.Writer) error {
-	return runner.RunJobs(context.Background(), names, opts, ms, runner.Config{
-		Workers:      workers,
-		JSON:         jsonMode,
-		Out:          out,
-		Progress:     progress,
-		Obs:          opts.Obs,
-		Trace:        tracer,
-		ResultCache:  opts.ResultCache,
-		FrontierPath: frontierPath,
-	})
-}
-
-// run executes one experiment serially; kept as the single-name entry
-// point (and for tests).
-func run(name string, opts experiments.Options, ms *experiments.MeasurementSet) error {
-	return runNames([]string{name}, opts, ms, 1, nil, os.Stdout, io.Discard)
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: iramsim [flags] <experiment> [...]")
-	fmt.Fprintln(os.Stderr, "experiments: spec cost table1 fig2 fig7 fig8 fig11 fig12 table3 table4 banks mattson realcpi fig13..fig17 ablate-{linesize,victim,unit,scoreboard,inc,engines,jouppi} designspace scoma fabric selftest workloads fig910 all")
+	fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.Names(), " "), "all")
 	fmt.Fprintln(os.Stderr, "machine descriptions: -machine examples/machine-32bank.json (see examples/)")
-	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-replay/-record <dir> (record-all: iramsim -record <dir>)")
+	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-record <dir> (record-all: iramsim -record <dir>)")
 	fmt.Fprintln(os.Stderr, "design-space search: iramsim designspace -ds-banks 8..128:8 -ds-columns 256..4096:*2 \\")
 	fmt.Fprintln(os.Stderr, "  -ds-ways 1,2,4 -ds-victims 0,16 -ds-coarse 4 -ds-refine 2 -ds-frontier pareto.json")
 	fmt.Fprintln(os.Stderr, "  (points group into column-size families; each family costs ONE trace pass per bench)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -12,7 +13,19 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resultstore"
+	"repro/internal/runner"
 )
+
+// runNames renders the named experiments to out through
+// runner.RunJobs, the layer iramsim and iramsimd share. cfg carries the
+// worker count, output mode and tracer; the metrics registry and result
+// cache come from opts, where runner.Run also puts them.
+func runNames(names []string, opts experiments.Options, ms *experiments.MeasurementSet, cfg runner.Config, out io.Writer) error {
+	cfg.Out = out
+	cfg.Obs = opts.Obs
+	cfg.ResultCache = opts.ResultCache
+	return runner.RunJobs(context.Background(), names, opts, ms, cfg)
+}
 
 // cheap experiments exercised through the dispatcher (the heavyweight
 // ones are covered by internal/experiments' own tests).
@@ -23,11 +36,11 @@ func TestRunDispatcher(t *testing.T) {
 	opts.Procs = []int{1, 2}
 	ms := experiments.NewMeasurementSet(opts)
 	for _, name := range []string{"cost", "spec", "fabric", "selftest", "table1", "fig13", "fig910", "workloads"} {
-		if err := run(name, opts, ms); err != nil {
-			t.Errorf("run(%q): %v", name, err)
+		if err := runNames([]string{name}, opts, ms, runner.Config{}, io.Discard); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if err := run("no-such-experiment", opts, ms); err == nil {
+	if err := runNames([]string{"no-such-experiment"}, opts, ms, runner.Config{}, io.Discard); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -44,13 +57,13 @@ func quickOpts() experiments.Options {
 // sweepOutput runs a representative experiment mix through the worker
 // pool and returns the deterministic stream. A fresh MeasurementSet
 // per call makes every run recompute from its seeds.
-func sweepOutput(t *testing.T, workers int, opts experiments.Options) []byte {
+func sweepOutput(t *testing.T, cfg runner.Config, opts experiments.Options) []byte {
 	t.Helper()
 	names := []string{"spec", "cost", "table1", "fig7", "fig8", "table3", "realcpi", "fig13", "ablate-scoreboard", "fabric"}
 	ms := experiments.NewMeasurementSet(opts)
 	var buf bytes.Buffer
-	if err := runNames(names, opts, ms, workers, nil, &buf, io.Discard); err != nil {
-		t.Fatalf("runNames(j=%d): %v", workers, err)
+	if err := runNames(names, opts, ms, cfg, &buf); err != nil {
+		t.Fatalf("runNames(j=%d): %v", cfg.Workers, err)
 	}
 	return buf.Bytes()
 }
@@ -61,23 +74,21 @@ func sweepOutput(t *testing.T, workers int, opts experiments.Options) []byte {
 // table and JSON modes.
 func TestSweepDeterminism(t *testing.T) {
 	opts := quickOpts()
-	serial := sweepOutput(t, 1, opts)
+	serial := sweepOutput(t, runner.Config{Workers: 1}, opts)
 	if len(serial) == 0 {
 		t.Fatal("serial sweep produced no output")
 	}
-	parallel := sweepOutput(t, 8, opts)
+	parallel := sweepOutput(t, runner.Config{Workers: 8}, opts)
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("-j 1 and -j 8 output differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, parallel)
 	}
-	again := sweepOutput(t, 8, opts)
+	again := sweepOutput(t, runner.Config{Workers: 8}, opts)
 	if !bytes.Equal(parallel, again) {
 		t.Errorf("two -j 8 runs of the same configuration differ")
 	}
 
-	jsonMode = true
-	defer func() { jsonMode = false }()
-	j1 := sweepOutput(t, 1, opts)
-	j8 := sweepOutput(t, 8, opts)
+	j1 := sweepOutput(t, runner.Config{Workers: 1, JSON: true}, opts)
+	j8 := sweepOutput(t, runner.Config{Workers: 8, JSON: true}, opts)
 	if !bytes.Equal(j1, j8) {
 		t.Errorf("JSON output differs between -j 1 and -j 8")
 	}
@@ -89,27 +100,25 @@ func TestSweepDeterminism(t *testing.T) {
 // stream byte-for-byte, in table and JSON modes.
 func TestSweepDeterminismWithCache(t *testing.T) {
 	opts := quickOpts()
-	baseline := sweepOutput(t, 4, opts)
+	baseline := sweepOutput(t, runner.Config{Workers: 4}, opts)
 
 	store, err := resultstore.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.ResultCache = store
-	if cold := sweepOutput(t, 1, opts); !bytes.Equal(baseline, cold) {
+	if cold := sweepOutput(t, runner.Config{Workers: 1}, opts); !bytes.Equal(baseline, cold) {
 		t.Errorf("cold cached run differs from uncached baseline:\n--- plain ---\n%s\n--- cold ---\n%s", baseline, cold)
 	}
 	for _, w := range []int{2, 8} {
-		if warm := sweepOutput(t, w, opts); !bytes.Equal(baseline, warm) {
+		if warm := sweepOutput(t, runner.Config{Workers: w}, opts); !bytes.Equal(baseline, warm) {
 			t.Errorf("warm cached run (-j %d) differs from uncached baseline", w)
 		}
 	}
 
-	jsonMode = true
-	defer func() { jsonMode = false }()
 	plain := quickOpts()
-	j1 := sweepOutput(t, 1, plain)
-	if warm := sweepOutput(t, 8, opts); !bytes.Equal(j1, warm) {
+	j1 := sweepOutput(t, runner.Config{Workers: 1, JSON: true}, plain)
+	if warm := sweepOutput(t, runner.Config{Workers: 8, JSON: true}, opts); !bytes.Equal(j1, warm) {
 		t.Errorf("JSON output differs between uncached and warm cached runs")
 	}
 }
@@ -126,7 +135,7 @@ func TestFastPathMatchesReplayTables(t *testing.T) {
 	names := []string{"fig7", "fig8", "table3"}
 	render := func(ms *experiments.MeasurementSet) []byte {
 		var buf bytes.Buffer
-		if err := runNames(names, opts, ms, 4, nil, &buf, io.Discard); err != nil {
+		if err := runNames(names, opts, ms, runner.Config{Workers: 4}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -152,7 +161,7 @@ func TestMetricsFlag(t *testing.T) {
 	plain := quickOpts()
 	plainMS := experiments.NewMeasurementSet(plain)
 	var plainBuf bytes.Buffer
-	if err := runNames(names, plain, plainMS, 2, nil, &plainBuf, io.Discard); err != nil {
+	if err := runNames(names, plain, plainMS, runner.Config{Workers: 2}, &plainBuf); err != nil {
 		t.Fatalf("uninstrumented run: %v", err)
 	}
 
@@ -161,7 +170,7 @@ func TestMetricsFlag(t *testing.T) {
 	tracer := obs.NewTracer(1 << 10)
 	ms := experiments.NewMeasurementSet(opts)
 	var buf bytes.Buffer
-	if err := runNames(names, opts, ms, 2, tracer, &buf, io.Discard); err != nil {
+	if err := runNames(names, opts, ms, runner.Config{Workers: 2, Trace: tracer}, &buf); err != nil {
 		t.Fatalf("instrumented run: %v", err)
 	}
 	if !bytes.Equal(plainBuf.Bytes(), buf.Bytes()) {
@@ -210,17 +219,19 @@ func TestMetricsFlag(t *testing.T) {
 }
 
 func TestRunDispatcherJSON(t *testing.T) {
-	jsonMode = true
-	defer func() { jsonMode = false }()
 	opts := experiments.Quick()
 	opts.Budget = 50_000
 	opts.GSPNInstr = 2_000
 	opts.Procs = []int{1}
 	ms := experiments.NewMeasurementSet(opts)
-	if err := run("table1", opts, ms); err != nil {
-		t.Errorf("json table1: %v", err)
-	}
-	if err := run("fig13", opts, ms); err != nil {
-		t.Errorf("json fig13: %v", err)
+	for _, name := range []string{"cost", "table1", "fig13"} {
+		var buf bytes.Buffer
+		if err := runNames([]string{name}, opts, ms, runner.Config{JSON: true}, &buf); err != nil {
+			t.Errorf("json %s: %v", name, err)
+		}
+		// A plain table (cost) renders as a table even in JSON mode.
+		if isJSON := json.Valid(buf.Bytes()); isJSON == (name == "cost") {
+			t.Errorf("json %s: output JSON=%v:\n%s", name, isJSON, buf.Bytes())
+		}
 	}
 }

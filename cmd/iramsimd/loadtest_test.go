@@ -7,71 +7,50 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
 	"sync"
+	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/resultstore"
 	"repro/internal/runner"
 )
 
-// runLoadTest is the daemon's built-in acceptance harness
-// (`iramsimd -loadtest N`). It is fully self-contained: it stands up an
-// in-process server over a fresh result cache, warms the cache with one
-// fig7 and one fig8 run, then fires N concurrent overlapping streaming
-// requests and asserts the service contract:
+// TestLoadTest is the daemon's acceptance load test (`make loadtest`).
+// It stands up an in-process server over a fresh result cache, warms
+// the cache with one fig7 and one fig8 run, then fires eight concurrent
+// overlapping streaming requests and asserts the service contract:
 //
 //   - every warm request is served entirely from cache (hits > 0,
 //     misses == 0 in its done event);
 //   - responses for the same experiment set are byte-identical;
 //   - a saturated queue answers 429 (backpressure, not deadlock), and
 //     the server stays responsive throughout.
-func runLoadTest(n, workers int, out io.Writer) error {
-	if n < 2 {
-		n = 2
+func TestLoadTest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation run")
 	}
-	cacheDir, err := os.MkdirTemp("", "iramsimd-loadtest-*")
+	const n, workers = 8, 4
+	store, err := resultstore.NewStore(t.TempDir())
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	defer os.RemoveAll(cacheDir)
-	store, err := resultstore.NewStore(cacheDir)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
-	s := newServer(serverConfig{
-		Queue:   2 * n,
-		MaxRuns: 4,
-		Workers: workers,
-		Store:   store,
-		Obs:     reg,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.drain(time.Minute)
+	_, ts := newTestServer(t, serverConfig{Queue: 2 * n, MaxRuns: 4, Workers: workers, Store: store})
 
 	reqs := []runner.Request{
 		{Experiments: []string{"fig7"}, Quick: true, Budget: 50_000},
 		{Experiments: []string{"fig8"}, Quick: true, Budget: 50_000},
 	}
-
-	fmt.Fprintf(out, "loadtest: warming cache (fig7, fig8) ...\n")
 	warmStart := time.Now()
 	for _, req := range reqs {
 		if _, _, err := submitAndWait(ts.URL, req); err != nil {
-			return fmt.Errorf("warm run: %w", err)
+			t.Fatalf("warm run: %v", err)
 		}
 	}
-	fmt.Fprintf(out, "loadtest: cache warm in %.1fs; firing %d concurrent requests\n",
-		time.Since(warmStart).Seconds(), n)
+	t.Logf("cache warm in %.1fs; firing %d concurrent requests", time.Since(warmStart).Seconds(), n)
 
 	// Overlapping warm requests: alternate fig7/fig8 so concurrent runs
 	// hit the same cache entries at the same time.
 	type reply struct {
-		idx    int
 		output []byte
 		done   doneEvent
 		err    error
@@ -84,57 +63,37 @@ func runLoadTest(n, workers int, out io.Writer) error {
 		go func(i int) {
 			defer wg.Done()
 			output, done, err := submitAndWait(ts.URL, reqs[i%len(reqs)])
-			results[i] = reply{idx: i, output: output, done: done, err: err}
+			results[i] = reply{output: output, done: done, err: err}
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	t.Logf("%d warm requests in %.2fs", n, time.Since(start).Seconds())
 
-	var failures int
 	byExp := map[int][]byte{}
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
-			failures++
-			fmt.Fprintf(out, "loadtest: FAIL request %d: %v\n", r.idx, r.err)
+			t.Errorf("request %d: %v", i, r.err)
 			continue
 		}
 		if r.done.State != "done" {
-			failures++
-			fmt.Fprintf(out, "loadtest: FAIL request %d: state %q (%s)\n", r.idx, r.done.State, r.done.Error)
+			t.Errorf("request %d: state %q (%s)", i, r.done.State, r.done.Error)
 			continue
 		}
 		if r.done.CacheHits == 0 || r.done.CacheMisses != 0 {
-			failures++
-			fmt.Fprintf(out, "loadtest: FAIL request %d: hits=%d misses=%d, want warm (hits>0 misses==0)\n",
-				r.idx, r.done.CacheHits, r.done.CacheMisses)
+			t.Errorf("request %d: hits=%d misses=%d, want warm (hits>0 misses==0)",
+				i, r.done.CacheHits, r.done.CacheMisses)
 		}
-		key := r.idx % len(reqs)
+		key := i % len(reqs)
 		if prev, ok := byExp[key]; !ok {
 			byExp[key] = r.output
 		} else if !bytes.Equal(prev, r.output) {
-			failures++
-			fmt.Fprintf(out, "loadtest: FAIL request %d: output differs from request %d\n", r.idx, key)
+			t.Errorf("request %d: output differs from request %d", i, key)
 		}
 	}
-	fmt.Fprintf(out, "loadtest: %d warm requests in %.2fs (%.1f req/s), %d failures\n",
-		n, elapsed.Seconds(), float64(n)/elapsed.Seconds(), failures)
 
-	// Backpressure probe: a tiny cold server (queue=1, runs=1, no
-	// cache) flooded with submissions must shed load with 429s while
-	// staying responsive, never deadlocking.
-	rejected, err := probeBackpressure(workers, out)
-	if err != nil {
-		return err
+	if rejected := probeBackpressure(t, workers); rejected == 0 {
+		t.Error("backpressure probe observed no 429s")
 	}
-	if rejected == 0 {
-		failures++
-		fmt.Fprintf(out, "loadtest: FAIL backpressure probe observed no 429s\n")
-	}
-	if failures > 0 {
-		return fmt.Errorf("%d check(s) failed", failures)
-	}
-	fmt.Fprintf(out, "loadtest: PASS\n")
-	return nil
 }
 
 // doneEvent is the terminal event every run stream ends with.
@@ -204,18 +163,15 @@ func submitAndWait(baseURL string, req runner.Request) ([]byte, doneEvent, error
 
 // probeBackpressure floods a queue=1/runs=1 cold server and counts
 // 429s; the accepted runs are canceled rather than waited for.
-func probeBackpressure(workers int, out io.Writer) (rejected int, err error) {
-	reg := obs.NewRegistry()
-	s := newServer(serverConfig{Queue: 1, MaxRuns: 1, Workers: workers, Obs: reg})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+func probeBackpressure(t *testing.T, workers int) (rejected int) {
+	t.Helper()
+	s, ts := newTestServer(t, serverConfig{Queue: 1, MaxRuns: 1, Workers: workers})
 	body, _ := json.Marshal(runner.Request{Experiments: []string{"fig7"}, Quick: true, Budget: 50_000})
 	var ids []string
 	for i := 0; i < 8; i++ {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
 		if err != nil {
-			return rejected, err
+			t.Fatal(err)
 		}
 		switch resp.StatusCode {
 		case http.StatusTooManyRequests:
@@ -229,18 +185,18 @@ func probeBackpressure(workers int, out io.Writer) (rejected int, err error) {
 			}
 		default:
 			resp.Body.Close()
-			return rejected, fmt.Errorf("probe submit: unexpected %s", resp.Status)
+			t.Fatalf("probe submit: unexpected %s", resp.Status)
 		}
 		resp.Body.Close()
 	}
 	// Server must still answer while saturated.
 	health, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
-		return rejected, fmt.Errorf("healthz under load: %w", err)
+		t.Fatalf("healthz under load: %v", err)
 	}
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
-		return rejected, fmt.Errorf("healthz under load: %s", health.Status)
+		t.Fatalf("healthz under load: %s", health.Status)
 	}
 	for _, id := range ids {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+id, nil)
@@ -249,6 +205,6 @@ func probeBackpressure(workers int, out io.Writer) (rejected int, err error) {
 		}
 	}
 	s.drain(time.Minute)
-	fmt.Fprintf(out, "loadtest: backpressure probe: %d/8 submissions shed with 429\n", rejected)
-	return rejected, nil
+	t.Logf("backpressure probe: %d/8 submissions shed with 429", rejected)
+	return rejected
 }

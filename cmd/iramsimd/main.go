@@ -47,17 +47,9 @@ func main() {
 		workers       = flag.Int("j", 1, "sweep workers per run")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs before canceling them")
 		metricsPath   = flag.String("metrics", "", "write the daemon metrics registry as JSON to this file on exit")
-		loadtest      = flag.Int("loadtest", 0, "run a self-contained load test with N concurrent clients and exit")
 	)
 	flag.Parse()
 
-	if *loadtest > 0 {
-		if err := runLoadTest(*loadtest, *workers, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "iramsimd: loadtest: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := mainErr(*addr, *cacheDir, *cacheMaxBytes, *queueCap, *maxRuns, *workers, *drainTimeout, *metricsPath); err != nil {
 		fmt.Fprintf(os.Stderr, "iramsimd: %v\n", err)
 		os.Exit(1)

@@ -20,13 +20,13 @@ import (
 func main() {
 	opts := experiments.Quick()
 
-	fig2, err := experiments.Fig2(opts)
+	fig2, err := experiments.Run[*experiments.Fig2Result]("fig2", opts, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fig2.Table().Render(os.Stdout)
 
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.Run[*experiments.Table1Result]("table1", opts, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // The ablation experiments probe the design choices DESIGN.md calls
 // out: the 512 B line size, the 16-entry victim cache, the 7-way INC,
 // the 32 B coherence unit, and the scoreboarding assumption. Each is
-// grounded in a specific claim of the paper (cited per function).
+// grounded in a specific claim of the paper (cited per job builder).
 
 // ablationBenches is the representative workload subset used by the
 // cache-geometry ablations: one long-line winner, one conflict victim,
@@ -35,22 +35,13 @@ type LineSizeRow struct {
 // LineSizeResult is the line-size ablation.
 type LineSizeResult struct{ Rows []LineSizeRow }
 
-// AblateLineSize sweeps the D-cache line size at fixed 16 KB 2-way
-// capacity. Paper grounding: Section 5.3 — long lines prefetch for
-// high-locality codes but multiply conflicts when only 16 sets remain
-// (tomcatv); and Section 5.6 — "increasing the line size will degrade
-// performance due to higher resultant cache conflicts".
-func AblateLineSize(o Options) (*LineSizeResult, error) {
-	v, err := sweep.RunSerial(AblateLineSizeJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LineSizeResult), nil
-}
-
-// AblateLineSizeJob enumerates the line-size ablation as one unit per
-// benchmark; each unit is one trace pass feeding every line size.
-func AblateLineSizeJob(o Options) sweep.Job {
+// ablateLineSizeJob sweeps the D-cache line size at fixed 16 KB 2-way
+// capacity, one unit per benchmark; each unit is one trace pass feeding
+// every line size. Paper grounding: Section 5.3 — long lines prefetch
+// for high-locality codes but multiply conflicts when only 16 sets
+// remain (tomcatv); and Section 5.6 — "increasing the line size will
+// degrade performance due to higher resultant cache conflicts".
+func ablateLineSizeJob(o Options, _ *MeasurementSet) sweep.Job {
 	units := make([]sweep.Unit, len(ablationBenches))
 	for i, name := range ablationBenches {
 		units[i] = sweep.Unit{
@@ -116,18 +107,6 @@ func ablateLineSizeBench(o Options, name string) ([]LineSizeRow, error) {
 	return rows, nil
 }
 
-// concatRows builds an Assemble function that concatenates per-unit
-// row slices (in unit order) and wraps them in a result value.
-func concatRows[T any](wrap func([]T) interface{}) func([]interface{}) (interface{}, error) {
-	return func(parts []interface{}) (interface{}, error) {
-		var rows []T
-		for _, p := range parts {
-			rows = append(rows, p.([]T)...)
-		}
-		return wrap(rows), nil
-	}
-}
-
 // Table renders the line-size ablation.
 func (r *LineSizeResult) Table() *report.Table {
 	t := report.NewTable("Ablation: D-cache line size (16 KB, 2-way), miss rate %",
@@ -160,20 +139,11 @@ type VictimSizeRow struct {
 // VictimSizeResult is the victim-size ablation.
 type VictimSizeResult struct{ Rows []VictimSizeRow }
 
-// AblateVictimSize sweeps the victim-cache entry count around the
-// paper's choice of 16 (one column's worth). Paper grounding: Section
-// 5.4 sizes the victim cache to exactly one 512 B column buffer.
-func AblateVictimSize(o Options) (*VictimSizeResult, error) {
-	v, err := sweep.RunSerial(AblateVictimSizeJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*VictimSizeResult), nil
-}
-
-// AblateVictimSizeJob enumerates the victim-size ablation as one unit
-// per benchmark.
-func AblateVictimSizeJob(o Options) sweep.Job {
+// ablateVictimSizeJob sweeps the victim-cache entry count around the
+// paper's choice of 16 (one column's worth), one unit per benchmark.
+// Paper grounding: Section 5.4 sizes the victim cache to exactly one
+// 512 B column buffer.
+func ablateVictimSizeJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"101.tomcatv", "102.swim", "099.go"}
 	units := make([]sweep.Unit, len(benches))
 	for i, name := range benches {
@@ -270,26 +240,16 @@ type UnitResult struct {
 	Rows  []UnitRow
 }
 
-// AblateCoherenceUnit runs SPLASH benchmarks with 32, 128, and 512 B
-// coherence units on the integrated+victim machine. Paper grounding:
-// Section 6.2 — "it is important not to use the long cache lines as
-// coherence units, because the false-sharing costs would outweigh the
-// prefetching benefits for most applications".
-func AblateCoherenceUnit(o Options) (*UnitResult, error) {
-	v, err := sweep.RunSerial(AblateCoherenceUnitJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*UnitResult), nil
-}
-
 // ablateUnitProcs is the processor count of the coherence-unit study.
 const ablateUnitProcs = 4
 
-// AblateCoherenceUnitJob enumerates the coherence-unit ablation as one
-// unit per SPLASH benchmark plus one for the false-sharing
-// microbenchmark.
-func AblateCoherenceUnitJob(o Options) sweep.Job {
+// ablateCoherenceUnitJob runs SPLASH benchmarks with 32, 128, and
+// 512 B coherence units on the integrated+victim machine, one unit per
+// SPLASH benchmark plus one for the false-sharing microbenchmark.
+// Paper grounding: Section 6.2 — "it is important not to use the long
+// cache lines as coherence units, because the false-sharing costs would
+// outweigh the prefetching benefits for most applications".
+func ablateCoherenceUnitJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"MP3D", "WATER", "OCEAN"}
 	var units []sweep.Unit
 	for _, name := range benches {
@@ -382,40 +342,26 @@ type ScoreboardRow struct {
 // ScoreboardResult is the scoreboarding ablation.
 type ScoreboardResult struct{ Rows []ScoreboardRow }
 
-// AblateScoreboard sweeps the T23 stall rate of the Figure 10 GSPN.
+// ablateScoreboardJob sweeps the T23 stall rate of the Figure 10 GSPN,
+// one unit per (benchmark, T23 rate) GSPN evaluation; the units share
+// one workload measurement through the single-flight MeasurementSet.
 // Paper grounding: Section 5.5 — "to model a system without
 // scoreboarding, this rate for T23 is set to infinity. However, we
 // assumed the presence of scoreboarding logic for the integrated
 // system, therefore the rate of T23 was set [to] 1".
-func AblateScoreboard(o Options, ms *MeasurementSet) (*ScoreboardResult, error) {
-	v, err := sweep.RunSerial(AblateScoreboardJob(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ScoreboardResult), nil
-}
-
-// AblateScoreboardJob enumerates the scoreboard ablation as one unit
-// per (benchmark, T23 rate) GSPN evaluation; the units share one
-// workload measurement through the single-flight MeasurementSet.
-func AblateScoreboardJob(o Options, ms *MeasurementSet) sweep.Job {
+func ablateScoreboardJob(o Options, ms *MeasurementSet) sweep.Job {
 	rates := []float64{0, 2, 1, 0.5, 0.25} // 0 = stall immediately
 	var units []sweep.Unit
 	for _, name := range []string{"126.gcc", "101.tomcatv"} {
 		for _, rate := range rates {
 			units = append(units, sweep.Unit{
 				Name: fmt.Sprintf("ablate-scoreboard/%s/rate=%g", name, rate),
-				Seed: o.Seed,
 				Run:  func() (interface{}, error) { return ablateScoreboardPoint(o, ms, name, rate) },
 			})
 		}
 	}
 	return sweep.Job{Name: "ablate-scoreboard", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &ScoreboardResult{Rows: make([]ScoreboardRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(ScoreboardRow)
-		}
-		return res, nil
+		return &ScoreboardResult{Rows: collect[ScoreboardRow](parts)}, nil
 	}}
 }
 
@@ -465,26 +411,17 @@ type INCRow struct {
 // INCResult is the INC-associativity ablation.
 type INCResult struct{ Rows []INCRow }
 
-// AblateINCAssociativity compares the paper's 7-way INC against
-// direct-mapped and lower-associativity organisations. Paper
-// grounding: Section 6.2 — the 512 B columns "enable access to seven
-// 32-Byte INC blocks each — providing 7 way associativity for cached
-// remote memory reducing conflict misses". The INC is deliberately
-// under-sized here (a 16 KB slice instead of 1 MB) so that conflicts —
-// not capacity slack — are what the associativity fights; the paper's
-// own INC is sized above the working sets for the same reason in
-// reverse (Section 6.1).
-func AblateINCAssociativity(o Options) (*INCResult, error) {
-	v, err := sweep.RunSerial(AblateINCAssociativityJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*INCResult), nil
-}
-
-// AblateINCAssociativityJob enumerates the INC ablation as one unit
-// per (associativity, benchmark) multiprocessor run.
-func AblateINCAssociativityJob(o Options) sweep.Job {
+// ablateINCAssociativityJob compares the paper's 7-way INC against
+// direct-mapped and lower-associativity organisations, one unit per
+// (associativity, benchmark) multiprocessor run. Paper grounding:
+// Section 6.2 — the 512 B columns "enable access to seven 32-Byte INC
+// blocks each — providing 7 way associativity for cached remote memory
+// reducing conflict misses". The INC is deliberately under-sized here
+// (a 16 KB slice instead of 1 MB) so that conflicts — not capacity
+// slack — are what the associativity fights; the paper's own INC is
+// sized above the working sets for the same reason in reverse
+// (Section 6.1).
+func ablateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
 	sz := splash.Full()
 	// Undersizing tracks the data set: small enough that the remote
 	// working set does not rattle around in capacity slack, large
@@ -515,11 +452,7 @@ func AblateINCAssociativityJob(o Options) sweep.Job {
 		}
 	}
 	return sweep.Job{Name: "ablate-inc", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &INCResult{Rows: make([]INCRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(INCRow)
-		}
-		return res, nil
+		return &INCResult{Rows: collect[INCRow](parts)}, nil
 	}}
 }
 
@@ -548,22 +481,13 @@ type EngineResult struct {
 	Rows  []EngineRow
 }
 
-// AblateEngines varies the number of protocol engines per node. Paper
+// ablateEnginesJob varies the number of protocol engines per node, one
+// unit per (benchmark, engine count) multiprocessor run. Paper
 // grounding: Section 4.2 budgets 60K gates for *two* coherence and
 // communications engines; this ablation shows what one engine would
 // queue and what a fourth would buy, using the occupancy model of
 // internal/coherence/engines.go.
-func AblateEngines(o Options) (*EngineResult, error) {
-	v, err := sweep.RunSerial(AblateEnginesJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*EngineResult), nil
-}
-
-// AblateEnginesJob enumerates the protocol-engine ablation as one unit
-// per (benchmark, engine count) multiprocessor run.
-func AblateEnginesJob(o Options) sweep.Job {
+func ablateEnginesJob(o Options, _ *MeasurementSet) sweep.Job {
 	procs := 8
 	sz := splash.Full()
 	if o.MPQuick {
@@ -592,11 +516,7 @@ func AblateEnginesJob(o Options) sweep.Job {
 		}
 	}
 	return sweep.Job{Name: "ablate-engines", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &EngineResult{Procs: procs, Rows: make([]EngineRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(EngineRow)
-		}
-		return res, nil
+		return &EngineResult{Procs: procs, Rows: collect[EngineRow](parts)}, nil
 	}}
 }
 
@@ -624,23 +544,14 @@ type JouppiRow struct {
 // JouppiResult is the victim-vs-stream-buffer ablation.
 type JouppiResult struct{ Rows []JouppiRow }
 
-// AblateJouppi compares the paper's victim cache against Jouppi's
-// stream buffers (both come from the paper's reference [18]). The
-// 512 B column fills already deliver the sequential prefetch a stream
-// buffer provides, so the victim cache — which recovers *evicted*
-// blocks — is the structure that pays off; this experiment quantifies
-// that design rationale.
-func AblateJouppi(o Options) (*JouppiResult, error) {
-	v, err := sweep.RunSerial(AblateJouppiJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*JouppiResult), nil
-}
-
-// AblateJouppiJob enumerates the Jouppi comparison as one unit per
-// benchmark; each unit is one trace pass feeding all three structures.
-func AblateJouppiJob(o Options) sweep.Job {
+// ablateJouppiJob compares the paper's victim cache against Jouppi's
+// stream buffers (both come from the paper's reference [18]), one unit
+// per benchmark; each unit is one trace pass feeding all three
+// structures. The 512 B column fills already deliver the sequential
+// prefetch a stream buffer provides, so the victim cache — which
+// recovers *evicted* blocks — is the structure that pays off; this
+// experiment quantifies that design rationale.
+func ablateJouppiJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"101.tomcatv", "102.swim", "104.hydro2d", "099.go"}
 	units := make([]sweep.Unit, len(benches))
 	for i, name := range benches {
@@ -650,11 +561,7 @@ func AblateJouppiJob(o Options) sweep.Job {
 		}
 	}
 	return sweep.Job{Name: "ablate-jouppi", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &JouppiResult{Rows: make([]JouppiRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(JouppiRow)
-		}
-		return res, nil
+		return &JouppiResult{Rows: collect[JouppiRow](parts)}, nil
 	}}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblateLineSize(t *testing.T) {
-	r, err := AblateLineSize(topts)
+	r, err := Run[*LineSizeResult]("ablate-linesize", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAblateLineSize(t *testing.T) {
 }
 
 func TestAblateVictimSize(t *testing.T) {
-	r, err := AblateVictimSize(topts)
+	r, err := Run[*VictimSizeResult]("ablate-victim", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAblateVictimSize(t *testing.T) {
 }
 
 func TestAblateCoherenceUnit(t *testing.T) {
-	r, err := AblateCoherenceUnit(topts)
+	r, err := Run[*UnitResult]("ablate-unit", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAblateCoherenceUnit(t *testing.T) {
 
 func TestAblateScoreboard(t *testing.T) {
 	ms := NewMeasurementSet(topts)
-	r, err := AblateScoreboard(topts, ms)
+	r, err := Run[*ScoreboardResult]("ablate-scoreboard", topts, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAblateScoreboard(t *testing.T) {
 }
 
 func TestAblateINCAssociativity(t *testing.T) {
-	r, err := AblateINCAssociativity(topts)
+	r, err := Run[*INCResult]("ablate-inc", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestAblateINCAssociativity(t *testing.T) {
 }
 
 func TestAblateEngines(t *testing.T) {
-	r, err := AblateEngines(topts)
+	r, err := Run[*EngineResult]("ablate-engines", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAblateEngines(t *testing.T) {
 }
 
 func TestAblateJouppi(t *testing.T) {
-	r, err := AblateJouppi(topts)
+	r, err := Run[*JouppiResult]("ablate-jouppi", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,29 +174,29 @@ func TestAblateJouppi(t *testing.T) {
 // TestAblationTablesRender smoke-renders every ablation table so a
 // formatting regression cannot slip through unrendered.
 func TestAblationTablesRender(t *testing.T) {
-	if r, err := AblateVictimSize(topts); err != nil || r.Table().String() == "" {
+	if r, err := Run[*VictimSizeResult]("ablate-victim", topts, nil); err != nil || r.Table().String() == "" {
 		t.Errorf("victim table: %v", err)
 	}
-	if r, err := AblateCoherenceUnit(topts); err != nil || r.Table().String() == "" {
+	if r, err := Run[*UnitResult]("ablate-unit", topts, nil); err != nil || r.Table().String() == "" {
 		t.Errorf("unit table: %v", err)
 	}
 	ms := NewMeasurementSet(topts)
-	if r, err := AblateScoreboard(topts, ms); err != nil || r.Table().String() == "" {
+	if r, err := Run[*ScoreboardResult]("ablate-scoreboard", topts, ms); err != nil || r.Table().String() == "" {
 		t.Errorf("scoreboard table: %v", err)
 	}
-	if r, err := AblateINCAssociativity(topts); err != nil || r.Table().String() == "" {
+	if r, err := Run[*INCResult]("ablate-inc", topts, nil); err != nil || r.Table().String() == "" {
 		t.Errorf("inc table: %v", err)
 	}
-	if r, err := AblateEngines(topts); err != nil || r.Table().String() == "" {
+	if r, err := Run[*EngineResult]("ablate-engines", topts, nil); err != nil || r.Table().String() == "" {
 		t.Errorf("engines table: %v", err)
 	}
-	if r, err := AblateJouppi(topts); err != nil || r.Table().String() == "" {
+	if r, err := Run[*JouppiResult]("ablate-jouppi", topts, nil); err != nil || r.Table().String() == "" {
 		t.Errorf("jouppi table: %v", err)
 	}
 }
 
 func TestSCOMAEndToEnd(t *testing.T) {
-	r, err := SCOMA(topts)
+	r, err := Run[*SCOMAResult]("scoma", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

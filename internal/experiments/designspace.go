@@ -294,22 +294,13 @@ func axisValuesOf(l *designLattice) (banks, cols, ways, vics []int) {
 	return
 }
 
-// Designspace runs the search serially.
-func Designspace(o Options) (*DesignspaceResult, error) {
-	v, err := sweep.RunSerial(DesignspaceJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*DesignspaceResult), nil
-}
-
-// DesignspaceJob builds the search as a sweep job: one unit per
+// designspaceJob builds the search as a sweep job: one unit per
 // (column family, benchmark) making the family's single trace pass, and
 // an Assemble step that runs screening, adaptive refinement, and the
 // GSPN stage over the completed histograms. Unit count — and therefore
 // trace-pass count — is families × benches regardless of how many
 // lattice points the axes span.
-func DesignspaceJob(o Options) sweep.Job {
+func designspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 	lat := newDesignLattice(o)
 	columns, byColumn := lat.families()
 
@@ -322,32 +313,27 @@ func DesignspaceJob(o Options) sweep.Job {
 	var passes int64
 	var units []sweep.Unit
 	for _, col := range columns {
-		col := col
 		pts := byColumn[col]
 		for _, bench := range designspaceBenches {
-			bench := bench
+			// Workload streams are deterministic (the trace store's seed
+			// only keys its cache; see workload.Traced), so family units
+			// key with seed 0.
 			uname := fmt.Sprintf("designspace/col=%d/%s", col, bench)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   famK.key(uname, 0, familyCodec.schema(), "pts="+familyPointsFingerprint(col, pts)),
-				Codec: familyCodec,
-				Run: func() (interface{}, error) {
-					w, err := workload.ByName(bench)
-					if err != nil {
-						return nil, err
-					}
-					atomic.AddInt64(&passes, 1)
-					m, err := workload.RunFamily(w, o.Budget, workload.NewFamilyCacheSet(col, pts), o.source())
-					if err != nil {
-						return nil, err
-					}
-					// Distil the live profiler state down to the
-					// serializable summary the assembly (and the result
-					// cache) consumes.
-					return m.Summary(pts), nil
-				},
-			})
+			units = append(units, unit(famK, uname, 0, familyCodec, func() (*workload.FamilySummary, error) {
+				w, err := workload.ByName(bench)
+				if err != nil {
+					return nil, err
+				}
+				atomic.AddInt64(&passes, 1)
+				m, err := workload.RunFamily(w, o.Budget, workload.NewFamilyCacheSet(col, pts), o.source())
+				if err != nil {
+					return nil, err
+				}
+				// Distil the live profiler state down to the
+				// serializable summary the assembly (and the result
+				// cache) consumes.
+				return m.Summary(pts), nil
+			}, "pts="+familyPointsFingerprint(col, pts)))
 		}
 	}
 
@@ -499,17 +485,11 @@ func DesignspaceJob(o Options) sweep.Job {
 			fp := workload.FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}
 			dev := lat.devs[pr.i]
 			bench := designspaceBenches[pr.bi]
-			uname := fmt.Sprintf("designspace/gspn/%s/%s", p, bench)
-			gUnits[gi] = sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   gspnK.key(uname, o.Seed, gspnCodec.schema(), "pdev="+deviceHash(dev)),
-				Codec: gspnCodec,
-				Run: func() (interface{}, error) {
+			gUnits[gi] = unit(gspnK, fmt.Sprintf("designspace/gspn/%s/%s", p, bench), o.Seed, gspnCodec,
+				func() (cpumodel.Result, error) {
 					rates := meas[p.ColumnBytes][bench].Rates(fp)
 					return cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
-				},
-			}
+				}, "pdev="+deviceHash(dev))
 		}
 		gJob := sweep.Job{Name: "designspace/gspn", Units: gUnits,
 			Assemble: func(ps []interface{}) (interface{}, error) { return ps, nil }}
@@ -518,9 +498,9 @@ func DesignspaceJob(o Options) sweep.Job {
 		if err != nil {
 			return nil, err
 		}
-		gParts := gv.([]interface{})
+		gParts := collect[cpumodel.Result](gv.([]interface{}))
 		for gi, pr := range gPairs {
-			r := gParts[gi].(cpumodel.Result)
+			r := gParts[gi]
 			row := &rows[pr.i][pr.bi]
 			row.MemCPI = r.MemCPI
 			row.TotalCPI = r.TotalCPI

@@ -26,7 +26,7 @@ func dsQuick() Options {
 // compounds included.
 func TestDesignspaceMatchesPerPoint(t *testing.T) {
 	o := dsQuick() // default axes: 3 banks x 2 columns x {0,16} victims = 12 points
-	res, err := Designspace(o)
+	res, err := Run[*DesignspaceResult]("designspace", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDesignspaceRefinementZeroIsExhaustive(t *testing.T) {
 		o := dsQuick()
 		o.DSCoarse = 1
 		o.DSRefine = refine
-		res, err := Designspace(o)
+		res, err := Run[*DesignspaceResult]("designspace", o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDesignspaceRefinementConverges(t *testing.T) {
 	o.DSVictims = []int{0, 16}
 	o.DSCoarse = 6 // coarse banks indices {0, 6, 12, 18, 23}
 	o.DSRefine = 1 // one round reaches only index-neighbours of those
-	res, err := Designspace(o)
+	res, err := Run[*DesignspaceResult]("designspace", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDesignspaceDeterministicAcrossWorkers(t *testing.T) {
 		o := dsQuick()
 		o.Workers = workers
 		eng := &sweep.Engine{Workers: workers}
-		v, err := eng.RunJob(DesignspaceJob(o))
+		v, err := eng.RunJob(designspaceJob(o, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestDesignspacePassReduction(t *testing.T) {
 	o.DSColumns = []int{256, 512}
 	o.DSWays = []int{1, 2, 4}
 	o.DSVictims = []int{0, 16}
-	res, err := Designspace(o)
+	res, err := Run[*DesignspaceResult]("designspace", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDesignspaceFrontierExport(t *testing.T) {
 	o.DSBanks = []int{8, 16}
 	o.DSColumns = []int{512}
 	o.DSVictims = []int{0}
-	res, err := Designspace(o)
+	res, err := Run[*DesignspaceResult]("designspace", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
-// Package experiments implements every experiment of the reproduction:
-// one function per table or figure of the paper's evaluation, each
-// returning structured results plus a rendered report. The CLI
-// (cmd/iramsim), the Go benchmarks (bench_test.go), and the shape tests
-// all drive this package, so an experiment is defined in exactly one
-// place.
+// Package experiments implements every experiment of the reproduction.
+// Each table or figure of the paper's evaluation, and each extension
+// and ablation, is one entry in an ordered registry (registry.go): a
+// job builder that decomposes the experiment into independent sweep
+// units, plus the assembly step that rebuilds its structured result,
+// which renders itself as a report. The CLI (cmd/iramsim), the daemon
+// (cmd/iramsimd), the Go benchmarks (bench_test.go), and the shape
+// tests all reach experiments through that registry, JobFor for a
+// parallel sweep and Run for a serial call, so an experiment is
+// defined in exactly one place.
 //
 // See DESIGN.md for the experiment index mapping table/figure numbers
-// to these functions.
+// to registry names.
 package experiments
 
 import (
@@ -223,34 +227,17 @@ type Fig7Result struct {
 	Rows []Fig7Row
 }
 
-// Fig7 measures instruction-cache miss rates for every workload.
-func Fig7(o Options, ms *MeasurementSet) (*Fig7Result, error) {
-	v, err := sweep.RunSerial(Fig7Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig7Result), nil
-}
-
-// Fig7Job enumerates Figure 7 as one unit per workload.
-func Fig7Job(o Options, ms *MeasurementSet) sweep.Job {
+// fig7Job measures instruction-cache miss rates for every workload,
+// one unit per workload.
+func fig7Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig7", o, fmt.Sprintf("budget=%d", o.Budget))
-	ws := workload.All()
-	units := make([]sweep.Unit, len(ws))
-	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  "fig7/" + w.Name,
-			Key:   k.key("fig7/"+w.Name, 0, fig7Codec.schema()),
-			Codec: fig7Codec,
-			Run:   func() (interface{}, error) { return fig7Row(ms, w) },
-		}
+	var units []sweep.Unit
+	for _, w := range workload.All() {
+		units = append(units, unit(k, "fig7/"+w.Name, 0, fig7Codec,
+			func() (Fig7Row, error) { return fig7Row(ms, w) }))
 	}
 	return sweep.Job{Name: "fig7", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &Fig7Result{Rows: make([]Fig7Row, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(Fig7Row)
-		}
-		return res, nil
+		return &Fig7Result{Rows: collect[Fig7Row](parts)}, nil
 	}}
 }
 
@@ -304,34 +291,17 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Fig8 measures data-cache miss rates for every workload.
-func Fig8(o Options, ms *MeasurementSet) (*Fig8Result, error) {
-	v, err := sweep.RunSerial(Fig8Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig8Result), nil
-}
-
-// Fig8Job enumerates Figure 8 as one unit per workload.
-func Fig8Job(o Options, ms *MeasurementSet) sweep.Job {
+// fig8Job measures data-cache miss rates for every workload, one unit
+// per workload.
+func fig8Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig8", o, fmt.Sprintf("budget=%d", o.Budget))
-	ws := workload.All()
-	units := make([]sweep.Unit, len(ws))
-	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  "fig8/" + w.Name,
-			Key:   k.key("fig8/"+w.Name, 0, fig8Codec.schema()),
-			Codec: fig8Codec,
-			Run:   func() (interface{}, error) { return fig8Row(ms, w) },
-		}
+	var units []sweep.Unit
+	for _, w := range workload.All() {
+		units = append(units, unit(k, "fig8/"+w.Name, 0, fig8Codec,
+			func() (Fig8Row, error) { return fig8Row(ms, w) }))
 	}
 	return sweep.Job{Name: "fig8", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &Fig8Result{Rows: make([]Fig8Row, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(Fig8Row)
-		}
-		return res, nil
+		return &Fig8Result{Rows: collect[Fig8Row](parts)}, nil
 	}}
 }
 
@@ -400,41 +370,23 @@ type CPIResult struct {
 	Rows   []CPIRow
 }
 
-// Table34 evaluates the Spec'95 CPI table with or without the victim
-// cache (Table 4 / Table 3 respectively).
-func Table34(o Options, ms *MeasurementSet, victim bool) (*CPIResult, error) {
-	v, err := sweep.RunSerial(Table34Job(o, ms, victim))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CPIResult), nil
-}
-
-// Table34Job enumerates Table 3 or 4 as one unit per SPEC workload.
-func Table34Job(o Options, ms *MeasurementSet, victim bool) sweep.Job {
+// table34Job evaluates the Spec'95 CPI table with or without the
+// victim cache (Table 4 / Table 3 respectively), one unit per SPEC
+// workload.
+func table34Job(o Options, ms *MeasurementSet, victim bool) sweep.Job {
 	name := "table3"
 	if victim {
 		name = "table4"
 	}
 	k := newKeyer(name, o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
-	ws := workload.Spec()
-	units := make([]sweep.Unit, len(ws))
-	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  name + "/" + w.Name,
-			Seed:  o.Seed,
-			Key:   k.key(name+"/"+w.Name, o.Seed, cpiCodec.schema()),
-			Codec: cpiCodec,
-			Run:   func() (interface{}, error) { return cpiRow(o, ms, w, victim) },
-		}
+	var units []sweep.Unit
+	for _, w := range workload.Spec() {
+		units = append(units, unit(k, name+"/"+w.Name, o.Seed, cpiCodec,
+			func() (CPIRow, error) { return cpiRow(o, ms, w, victim) }))
 	}
 	return sweep.Job{Name: name, Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &CPIResult{Victim: victim, Rows: make([]CPIRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(CPIRow)
-		}
-		return res, nil
+		return &CPIResult{Victim: victim, Rows: collect[CPIRow](parts)}, nil
 	}}
 }
 

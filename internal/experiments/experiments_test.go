@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ var (
 )
 
 func TestFig7EndToEnd(t *testing.T) {
-	r, err := Fig7(topts, tms)
+	r, err := Run[*Fig7Result]("fig7", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestFig7EndToEnd(t *testing.T) {
 }
 
 func TestFig8EndToEnd(t *testing.T) {
-	r, err := Fig8(topts, tms)
+	r, err := Run[*Fig8Result]("fig8", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestFig8EndToEnd(t *testing.T) {
 }
 
 func TestTables34EndToEnd(t *testing.T) {
-	t3, err := Table34(topts, tms, false)
+	t3, err := Run[*CPIResult]("table3", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := Table34(topts, tms, true)
+	t4, err := Run[*CPIResult]("table4", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestTables34EndToEnd(t *testing.T) {
 // system models and the integrated device comes out ahead — the memory
 // wall argument made with programs that actually compute something.
 func TestRealCPIEndToEnd(t *testing.T) {
-	r, err := RealCPI(topts, tms)
+	r, err := Run[*RealCPIResult]("realcpi", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestRealCPIEndToEnd(t *testing.T) {
 }
 
 func TestFig11Fig12EndToEnd(t *testing.T) {
-	f11, err := Fig11(topts, tms)
+	f11, err := Run[*LatencyResult]("fig11", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f12, err := Fig12(topts, tms)
+	f12, err := Run[*LatencyResult]("fig12", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFig11Fig12EndToEnd(t *testing.T) {
 }
 
 func TestBanksEndToEnd(t *testing.T) {
-	r, err := Banks(topts, tms)
+	r, err := Run[*BankResult]("banks", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestBanksEndToEnd(t *testing.T) {
 }
 
 func TestTable1EndToEnd(t *testing.T) {
-	r, err := Table1(topts)
+	r, err := Run[*Table1Result]("table1", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestTable1EndToEnd(t *testing.T) {
 }
 
 func TestFig2EndToEnd(t *testing.T) {
-	r, err := Fig2(topts)
+	r, err := Run[*Fig2Result]("fig2", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestFig2EndToEnd(t *testing.T) {
 
 func TestSplashFigures(t *testing.T) {
 	for fig := 13; fig <= 17; fig++ {
-		r, err := SplashFigure(topts, fig)
+		r, err := Run[*SplashResult](fmt.Sprintf("fig%d", fig), topts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,8 +267,11 @@ func TestSplashFigures(t *testing.T) {
 			t.Errorf("fig %d: empty bars", fig)
 		}
 	}
-	if _, err := SplashFigure(topts, 99); err == nil {
-		t.Error("SplashFigure accepted a bogus figure number")
+	if _, err := Run[*SplashResult]("fig99", topts, nil); err == nil {
+		t.Error("Run accepted a bogus figure number")
+	}
+	if _, err := Run[*Fig7Result]("fig13", topts, nil); err == nil {
+		t.Error("Run returned a SPLASH result as a Fig7Result")
 	}
 }
 
@@ -319,7 +323,7 @@ func TestFabricExperiment(t *testing.T) {
 }
 
 func TestFig2IntegratedFlat(t *testing.T) {
-	r, err := Fig2(topts)
+	r, err := Run[*Fig2Result]("fig2", topts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +342,7 @@ func TestFig2IntegratedFlat(t *testing.T) {
 }
 
 func TestGeoMeans(t *testing.T) {
-	r, err := Table34(topts, tms, true)
+	r, err := Run[*CPIResult]("table4", topts, tms)
 	if err != nil {
 		t.Fatal(err)
 	}

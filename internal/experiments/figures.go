@@ -33,44 +33,21 @@ type LatencyResult struct {
 // fig1112Benches are the paper's representative high/low-CPI pair.
 var fig1112Benches = []string{"141.apsi", "126.gcc"}
 
-// Fig11 sweeps second-level-cache and memory latency for the
-// conventional reference CPU (141.apsi and 126.gcc, as in the paper).
-func Fig11(o Options, ms *MeasurementSet) (*LatencyResult, error) {
-	v, err := sweep.RunSerial(Fig11Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LatencyResult), nil
-}
-
-// Fig11Job enumerates Figure 11 as one unit per benchmark; each unit
-// runs that benchmark's full latency grid through the GSPN.
-func Fig11Job(o Options, ms *MeasurementSet) sweep.Job {
+// fig11Job sweeps second-level-cache and memory latency for the
+// conventional reference CPU (141.apsi and 126.gcc, as in the paper),
+// one unit per benchmark; each unit runs that benchmark's full latency
+// grid through the GSPN.
+func fig11Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig11", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
-	units := make([]sweep.Unit, len(fig1112Benches))
-	for i, name := range fig1112Benches {
-		units[i] = sweep.Unit{
-			Name:  "fig11/" + name,
-			Seed:  o.Seed,
-			Key:   k.key("fig11/"+name, o.Seed, latencyCodec.schema()),
-			Codec: latencyCodec,
-			Run:   func() (interface{}, error) { return fig11Bench(o, ms, name) },
-		}
+	var units []sweep.Unit
+	for _, name := range fig1112Benches {
+		units = append(units, unit(k, "fig11/"+name, o.Seed, latencyCodec,
+			func() ([]LatencyPoint, error) { return fig11Bench(o, ms, name) }))
 	}
-	return sweep.Job{Name: "fig11", Units: units,
-		Assemble: assembleLatency(true)}
-}
-
-// assembleLatency concatenates per-benchmark latency points.
-func assembleLatency(conventional bool) func([]interface{}) (interface{}, error) {
-	return func(parts []interface{}) (interface{}, error) {
-		res := &LatencyResult{Conventional: conventional}
-		for _, p := range parts {
-			res.Points = append(res.Points, p.([]LatencyPoint)...)
-		}
-		return res, nil
-	}
+	return sweep.Job{Name: "fig11", Units: units, Assemble: concatRows(func(pts []LatencyPoint) interface{} {
+		return &LatencyResult{Conventional: true, Points: pts}
+	})}
 }
 
 // fig11Bench runs one benchmark's SLC × memory latency grid.
@@ -105,31 +82,19 @@ func fig11Bench(o Options, ms *MeasurementSet, name string) ([]LatencyPoint, err
 	return points, nil
 }
 
-// Fig12 sweeps memory latency for the integrated CPU.
-func Fig12(o Options, ms *MeasurementSet) (*LatencyResult, error) {
-	v, err := sweep.RunSerial(Fig12Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LatencyResult), nil
-}
-
-// Fig12Job enumerates Figure 12 as one unit per benchmark.
-func Fig12Job(o Options, ms *MeasurementSet) sweep.Job {
+// fig12Job sweeps memory latency for the integrated CPU, one unit per
+// benchmark.
+func fig12Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig12", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
-	units := make([]sweep.Unit, len(fig1112Benches))
-	for i, name := range fig1112Benches {
-		units[i] = sweep.Unit{
-			Name:  "fig12/" + name,
-			Seed:  o.Seed,
-			Key:   k.key("fig12/"+name, o.Seed, latencyCodec.schema()),
-			Codec: latencyCodec,
-			Run:   func() (interface{}, error) { return fig12Bench(o, ms, name) },
-		}
+	var units []sweep.Unit
+	for _, name := range fig1112Benches {
+		units = append(units, unit(k, "fig12/"+name, o.Seed, latencyCodec,
+			func() ([]LatencyPoint, error) { return fig12Bench(o, ms, name) }))
 	}
-	return sweep.Job{Name: "fig12", Units: units,
-		Assemble: assembleLatency(false)}
+	return sweep.Job{Name: "fig12", Units: units, Assemble: concatRows(func(pts []LatencyPoint) interface{} {
+		return &LatencyResult{Points: pts}
+	})}
 }
 
 // fig12Bench runs one benchmark's memory-latency sweep.
@@ -207,51 +172,27 @@ type BankRow struct {
 // BankResult is the Section 5.6 study.
 type BankResult struct{ Rows []BankRow }
 
-// Banks evaluates 4/8/16 banks for the integrated system and 2-8 for
-// the conventional reference, reporting CPI and bank utilisation.
-func Banks(o Options, ms *MeasurementSet) (*BankResult, error) {
-	v, err := sweep.RunSerial(BanksJob(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BankResult), nil
-}
-
-// BanksJob enumerates the bank study as one unit per
-// (benchmark, system, bank count) ensemble — the 5-seed Monte-Carlo
-// evaluations are the expensive part and they are all independent.
-func BanksJob(o Options, ms *MeasurementSet) sweep.Job {
+// banksJob evaluates 4/8/16 banks for the integrated system and 2-8
+// for the conventional reference, reporting CPI and bank utilisation,
+// as one unit per (benchmark, system, bank count) ensemble — the
+// 5-seed Monte-Carlo evaluations are the expensive part and they are
+// all independent.
+func banksJob(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("banks", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	var units []sweep.Unit
 	for _, name := range []string{"126.gcc", "102.swim"} {
 		for _, b := range []int{4, 8, 16} {
-			uname := fmt.Sprintf("banks/%s/integrated/%d", name, b)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   k.key(uname, o.Seed, bankCodec.schema()),
-				Codec: bankCodec,
-				Run:   func() (interface{}, error) { return bankRow(o, ms, name, true, b) },
-			})
+			units = append(units, unit(k, fmt.Sprintf("banks/%s/integrated/%d", name, b), o.Seed, bankCodec,
+				func() (BankRow, error) { return bankRow(o, ms, name, true, b) }))
 		}
 		for _, b := range []int{2, 4, 8} {
-			uname := fmt.Sprintf("banks/%s/conventional/%d", name, b)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   k.key(uname, o.Seed, bankCodec.schema()),
-				Codec: bankCodec,
-				Run:   func() (interface{}, error) { return bankRow(o, ms, name, false, b) },
-			})
+			units = append(units, unit(k, fmt.Sprintf("banks/%s/conventional/%d", name, b), o.Seed, bankCodec,
+				func() (BankRow, error) { return bankRow(o, ms, name, false, b) }))
 		}
 	}
 	return sweep.Job{Name: "banks", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &BankResult{Rows: make([]BankRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(BankRow)
-		}
-		return res, nil
+		return &BankResult{Rows: collect[BankRow](parts)}, nil
 	}}
 }
 
@@ -322,38 +263,21 @@ type Table1Row struct {
 // Table1Result is the Table 1 reproduction.
 type Table1Result struct{ Rows []Table1Row }
 
-// Table1 runs the Synopsys stand-in workload through the SS-5 and
-// SS-10/61 hierarchy models and compares with the published run times.
-func Table1(o Options) (*Table1Result, error) {
-	v, err := sweep.RunSerial(Table1Job(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Table1Result), nil
-}
-
-// Table1Job enumerates Table 1 as one unit per machine model; the
-// relative column needs both estimates, so it is computed at assembly.
-func Table1Job(o Options) sweep.Job {
+// table1Job runs the Synopsys stand-in workload through the SS-5 and
+// SS-10/61 hierarchy models and compares with the published run times,
+// one unit per machine model; the relative column needs both
+// estimates, so it is computed at assembly.
+func table1Job(o Options, _ *MeasurementSet) sweep.Job {
 	k := newKeyer("table1", o, fmt.Sprintf("budget=%d", o.Budget))
 	builders := []func() *memsys.Hierarchy{memsys.SS5, memsys.SS10}
 	labels := []string{"ss5", "ss10"}
 	units := make([]sweep.Unit, len(builders))
 	for i, build := range builders {
-		units[i] = sweep.Unit{
-			Name:  "table1/" + labels[i],
-			Key:   k.key("table1/"+labels[i], 0, estimateCodec.schema()),
-			Codec: estimateCodec,
-			Run: func() (interface{}, error) {
-				return table1Estimate(o, build())
-			},
-		}
+		units[i] = unit(k, "table1/"+labels[i], 0, estimateCodec,
+			func() (memsys.RunEstimate, error) { return table1Estimate(o, build()) })
 	}
 	return sweep.Job{Name: "table1", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		ests := make([]memsys.RunEstimate, len(parts))
-		for i, p := range parts {
-			ests[i] = p.(memsys.RunEstimate)
-		}
+		ests := collect[memsys.RunEstimate](parts)
 		best := ests[0].NsPerInstr
 		for _, e := range ests {
 			if e.NsPerInstr < best {
@@ -416,16 +340,6 @@ type Fig2Result struct {
 	AvgNs map[string]map[uint64]map[uint64]float64
 }
 
-// Fig2 measures the stride/size latency surface on the SS-5 and
-// SS-10/61 models.
-func Fig2(o Options) (*Fig2Result, error) {
-	v, err := sweep.RunSerial(Fig2Job(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig2Result), nil
-}
-
 // fig2Surface is one machine's slice of the Figure 2 surface.
 type fig2Surface struct {
 	name  string
@@ -437,11 +351,11 @@ var (
 	fig2Strides = []uint64{16, 128, 512, 4096}
 )
 
-// Fig2Job enumerates Figure 2 as one unit per machine model.
-// The integrated device is not part of the paper's measured Figure 2,
+// fig2Job measures the stride/size latency surface on the SS-5 and
+// SS-10/61 models, one unit per machine model. The integrated device is not part of the paper's measured Figure 2,
 // but plotting it on the same axes is the whole argument: a flat
 // ~30 ns line where both workstations climb.
-func Fig2Job(o Options) sweep.Job {
+func fig2Job(o Options, _ *MeasurementSet) sweep.Job {
 	integrated := func() *memsys.Hierarchy { return memsys.IntegratedFrom(o.Device()) }
 	builders := []func() *memsys.Hierarchy{memsys.SS5, memsys.SS10, integrated}
 	labels := []string{"ss5", "ss10", "integrated"}
@@ -552,36 +466,17 @@ type MattsonResult struct{ Rows []MattsonRow }
 // them come from the same histogram — adding a size is free.
 var mattsonSizesKB = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Mattson measures every workload's miss-ratio curve.
-func Mattson(o Options) (*MattsonResult, error) {
-	v, err := sweep.RunSerial(MattsonJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*MattsonResult), nil
-}
-
-// MattsonJob enumerates the miss-ratio-curve study as one unit per
+// mattsonJob measures every workload's miss-ratio curve, one unit per
 // workload: one execution, one stack-distance profile, eleven sizes.
-func MattsonJob(o Options) sweep.Job {
+func mattsonJob(o Options, _ *MeasurementSet) sweep.Job {
 	k := newKeyer("mattson", o, fmt.Sprintf("budget=%d", o.Budget))
-	ws := workload.All()
-	units := make([]sweep.Unit, len(ws))
-	for i, w := range ws {
-		w := w
-		units[i] = sweep.Unit{
-			Name:  "mattson/" + w.Name,
-			Key:   k.key("mattson/"+w.Name, 0, mattsonCodec.schema()),
-			Codec: mattsonCodec,
-			Run:   func() (interface{}, error) { return mattsonRow(o, w) },
-		}
+	var units []sweep.Unit
+	for _, w := range workload.All() {
+		units = append(units, unit(k, "mattson/"+w.Name, 0, mattsonCodec,
+			func() (MattsonRow, error) { return mattsonRow(o, w) }))
 	}
 	return sweep.Job{Name: "mattson", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &MattsonResult{Rows: make([]MattsonRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(MattsonRow)
-		}
-		return res, nil
+		return &MattsonResult{Rows: collect[MattsonRow](parts)}, nil
 	}}
 }
 

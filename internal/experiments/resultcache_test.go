@@ -43,12 +43,8 @@ func runJob(t *testing.T, j sweep.Job, workers int, cache sweep.ResultCache) int
 // when a rename happens accidentally.
 func TestResultKeysStableAndUnique(t *testing.T) {
 	build := func(o Options) (names []string, keys []string, codecs []bool) {
-		for _, name := range SweepNames() {
-			ms := NewMeasurementSet(o)
-			j, err := JobFor(name, o, ms)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, e := range registry {
+			j := e.build(o, NewMeasurementSet(o))
 			for _, u := range j.Units {
 				names = append(names, j.Name+"|"+u.Name)
 				keys = append(keys, u.Key)
@@ -121,19 +117,19 @@ func TestEngineCacheRoundTripFig7(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+	cold := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
 	entries, err := os.ReadDir(store.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(Fig7Job(o, NewMeasurementSet(o)).Units) {
+	if len(entries) != len(fig7Job(o, NewMeasurementSet(o)).Units) {
 		t.Fatalf("cold run stored %d entries, want one per unit", len(entries))
 	}
-	warm := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 2, store).(*Fig7Result)
+	warm := runJob(t, fig7Job(o, NewMeasurementSet(o)), 2, store).(*Fig7Result)
 	if !reflect.DeepEqual(cold, warm) {
 		t.Error("warm result differs from cold result")
 	}
-	none := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 1, nil).(*Fig7Result)
+	none := runJob(t, fig7Job(o, NewMeasurementSet(o)), 1, nil).(*Fig7Result)
 	if !reflect.DeepEqual(cold, none) {
 		t.Error("cached result differs from uncached result")
 	}
@@ -148,8 +144,8 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
-	units := Fig7Job(o, NewMeasurementSet(o)).Units
+	want := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+	units := fig7Job(o, NewMeasurementSet(o)).Units
 
 	t.Run("bit-flip", func(t *testing.T) {
 		for _, u := range units {
@@ -162,7 +158,7 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+		got := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
 		if !reflect.DeepEqual(want, got) {
 			t.Error("recomputed result differs after corruption")
 		}
@@ -178,7 +174,7 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+		got := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
 		if !reflect.DeepEqual(want, got) {
 			t.Error("recomputed result differs after truncation")
 		}
@@ -198,7 +194,7 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+		got := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
 		if !reflect.DeepEqual(want, got) {
 			t.Error("stale-schema entries leaked into the result")
 		}
@@ -208,7 +204,7 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 			}
 		}
 		// The recompute healed the entries: a further run decodes them.
-		again := runJob(t, Fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
+		again := runJob(t, fig7Job(o, NewMeasurementSet(o)), 4, store).(*Fig7Result)
 		if !reflect.DeepEqual(want, again) {
 			t.Error("healed entries decode to a different result")
 		}
@@ -222,7 +218,7 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 // a warm run does none.
 func TestDesignspaceCachedMatchesUncached(t *testing.T) {
 	o := rcQuick()
-	plain, err := Designspace(o)
+	plain, err := Run[*DesignspaceResult]("designspace", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +229,8 @@ func TestDesignspaceCachedMatchesUncached(t *testing.T) {
 	}
 	o.ResultCache = store
 	o.Workers = 4
-	cold := runJob(t, DesignspaceJob(o), 4, store).(*DesignspaceResult)
-	warm := runJob(t, DesignspaceJob(o), 2, store).(*DesignspaceResult)
+	cold := runJob(t, designspaceJob(o, nil), 4, store).(*DesignspaceResult)
+	warm := runJob(t, designspaceJob(o, nil), 2, store).(*DesignspaceResult)
 
 	if !reflect.DeepEqual(plain.Rows, cold.Rows) || !reflect.DeepEqual(plain.Frontier, cold.Frontier) {
 		t.Error("cold cached search differs from uncached search")
@@ -256,12 +252,12 @@ func TestDesignspaceCachedMatchesUncached(t *testing.T) {
 	// gspn stage's keys for previously evaluated (point, bench) pairs are
 	// registration-independent and must hit.
 	names := map[string]bool{}
-	for _, u := range DesignspaceJob(o).Units {
+	for _, u := range designspaceJob(o, nil).Units {
 		names[u.Key] = true
 	}
 	o2 := o
 	o2.DSBanks = []int{8, 16, 32, 64}
-	for _, u := range DesignspaceJob(o2).Units {
+	for _, u := range designspaceJob(o2, nil).Units {
 		if names[u.Key] {
 			t.Errorf("family unit key unchanged after widening the banks axis: %s", u.Key)
 		}

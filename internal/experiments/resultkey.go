@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -64,10 +66,11 @@ func newKeyer(exp string, o Options, params ...string) keyer {
 	}
 }
 
-// key derives one unit's cache key. The human-readable prefix keeps
-// cache directories greppable; the digest suffix carries the actual
-// content address (resultstore sanitizes the prefix but never the
-// digest, so two distinct keys cannot alias).
+// key derives one unit's cache key: a filename-safe label of the unit
+// name (at most 80 bytes, keeping cache directories greppable), a dash,
+// and the hex digest that carries the actual content address
+// (resultstore sanitizes the label but never the digest, so two
+// distinct keys cannot alias).
 func (k keyer) key(unitName string, seed int64, schema string, extra ...string) string {
 	params := k.params
 	if len(extra) > 0 {
@@ -76,27 +79,39 @@ func (k keyer) key(unitName string, seed int64, schema string, extra ...string) 
 		}
 		params += strings.Join(extra, ",")
 	}
-	canon := fmt.Sprintf("rk1|dev=%s|exp=%s|unit=%s|params=%s|seed=%d|schema=%s",
-		k.dev, k.exp, unitName, params, seed, schema)
+	canon := "rk1|dev=" + k.dev + "|exp=" + k.exp + "|unit=" + unitName + "|params=" + params +
+		"|seed=" + strconv.FormatInt(seed, 10) + "|schema=" + schema
 	sum := sha256.Sum256([]byte(canon))
-	return keyPrefix(unitName) + "-" + hex.EncodeToString(sum[:])
-}
-
-// keyPrefix compresses a unit name into a short filename-safe label.
-func keyPrefix(unitName string) string {
-	s := strings.Map(func(r rune) rune {
+	b := make([]byte, 0, 81+hex.EncodedLen(len(sum)))
+	for _, r := range unitName {
+		if len(b) == 80 {
+			break
+		}
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '.', r == '_', r == '-':
-			return r
+			b = append(b, byte(r))
 		default:
-			return '_'
+			b = append(b, '_')
 		}
-	}, unitName)
-	if len(s) > 80 {
-		s = s[:80]
 	}
-	return s
+	b = append(b, '-')
+	n := len(b)
+	b = b[:n+hex.EncodedLen(len(sum))]
+	hex.Encode(b[n:], sum[:])
+	return string(b)
+}
+
+// unit builds one cacheable sweep unit: the name and seed are written
+// once and the key derives from them, and the codec's type parameter
+// makes the compiler check that it encodes what run returns.
+func unit[T any](k keyer, name string, seed int64, c gobCodec[T], run func() (T, error), extra ...string) sweep.Unit {
+	return sweep.Unit{
+		Name:  name,
+		Key:   k.key(name, seed, c.schema(), extra...),
+		Codec: c,
+		Run:   func() (interface{}, error) { return run() },
+	}
 }
 
 // familyPointsFingerprint hashes a registered design-point list. The

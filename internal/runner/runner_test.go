@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,9 +52,18 @@ func TestValidate(t *testing.T) {
 }
 
 func TestExpandNames(t *testing.T) {
-	all := ExpandNames([]string{"all"})
-	if len(all) < 10 || all[0] != "spec" || all[len(all)-1] != "selftest" {
-		t.Errorf("ExpandNames(all) = %v", all)
+	// The `iramsim all` sequence, pinned: output order is part of the
+	// byte-identity contract (testdata/full_results.txt).
+	want := []string{
+		"spec", "cost", "table1", "fig2", "fig7", "fig8", "fig11", "fig12",
+		"table3", "table4", "banks", "mattson", "realcpi",
+		"fig13", "fig14", "fig15", "fig16", "fig17",
+		"ablate-linesize", "ablate-victim", "ablate-unit",
+		"ablate-scoreboard", "ablate-inc", "ablate-engines", "ablate-jouppi",
+		"scoma", "fabric", "selftest",
+	}
+	if all := ExpandNames([]string{"all"}); !reflect.DeepEqual(all, want) {
+		t.Errorf("ExpandNames(all) = %v\nwant %v", all, want)
 	}
 	plain := []string{"fig7", "fig8"}
 	if got := ExpandNames(plain); len(got) != 2 || got[0] != "fig7" {

@@ -6,8 +6,8 @@
 // The model is the same shape as a batch scheduler: an experiment is a
 // Job made of enumerable Units (the smallest independently runnable
 // pieces — one workload measurement, one GSPN evaluation, one
-// multiprocessor run), each carrying an explicit seed so its result
-// depends only on its inputs, never on scheduling. Workers execute
+// multiprocessor run), each closing over its own inputs and seeds so
+// its result depends only on them, never on scheduling. Workers execute
 // units in whatever order the pool dictates; the engine buffers the
 // partial results and assembles each job exactly once, emitting
 // finished jobs strictly in submission order as their frontier
@@ -29,10 +29,10 @@ import (
 )
 
 // Unit is one independently runnable piece of an experiment. Run must
-// be self-contained: any randomness must come from Seed (or from seeds
-// closed over explicitly), and it must not mutate state shared with
-// other units except through concurrency-safe structures (e.g. the
-// single-flight measurement cache in internal/experiments).
+// be self-contained: any randomness must come from seeds it closes over
+// explicitly, and it must not mutate state shared with other units
+// except through concurrency-safe structures (e.g. the single-flight
+// measurement cache in internal/experiments).
 type Unit struct {
 	// Name labels the unit in progress and error reports
 	// (e.g. "fig13/p=4/integrated + victim"). Unit names are cache-key
@@ -40,12 +40,6 @@ type Unit struct {
 	// deliberately — a rename usually accompanies a semantic change,
 	// and a spurious miss only costs recomputation.
 	Name string
-	// Seed is the unit's explicit random seed (0 when the unit is
-	// fully deterministic). It is informational here — the Run closure
-	// must already incorporate it — but carrying it on the unit keeps
-	// the seed assignment auditable and scheduling-independent. Like
-	// Name, it is a cache-key component.
-	Seed int64
 	// Run computes the unit's partial result.
 	Run func() (interface{}, error)
 	// Key, when non-empty, content-addresses the unit's result: an
@@ -95,10 +89,10 @@ type Job struct {
 }
 
 // Single wraps one function as a single-unit job.
-func Single(name string, seed int64, run func() (interface{}, error)) Job {
+func Single(name string, run func() (interface{}, error)) Job {
 	return Job{
 		Name:     name,
-		Units:    []Unit{{Name: name, Seed: seed, Run: run}},
+		Units:    []Unit{{Name: name, Run: run}},
 		Assemble: func(parts []interface{}) (interface{}, error) { return parts[0], nil },
 	}
 }
@@ -482,8 +476,8 @@ func (e *Engine) RunJobContext(ctx context.Context, j Job) (interface{}, error) 
 // RunSerial executes one job's units in order on the calling
 // goroutine and assembles the result. It is the serial reference
 // implementation: Engine.Run with any worker count produces the same
-// values. The monolithic experiment functions are wrappers over this,
-// so the CLI sweep and the direct API share one code path.
+// values. experiments.Run calls it, so the CLI sweep and the direct
+// API run the same units.
 func RunSerial(j Job) (interface{}, error) {
 	parts := make([]interface{}, len(j.Units))
 	for i, u := range j.Units {

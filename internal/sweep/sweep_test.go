@@ -220,8 +220,8 @@ func TestZeroUnitJobs(t *testing.T) {
 
 // TestSingle: Single wraps a function as a one-unit job.
 func TestSingle(t *testing.T) {
-	j := Single("one", 7, func() (interface{}, error) { return "v", nil })
-	if len(j.Units) != 1 || j.Units[0].Seed != 7 {
+	j := Single("one", func() (interface{}, error) { return "v", nil })
+	if len(j.Units) != 1 || j.Units[0].Name != "one" {
 		t.Fatalf("bad job %+v", j)
 	}
 	v, err := RunSerial(j)
