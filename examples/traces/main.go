@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -49,12 +50,17 @@ func main() {
 	fmt.Printf("captured %d references of %s to %s (%.2f bytes/ref)\n\n",
 		tw.Count(), w.Name, path, float64(info.Size())/float64(tw.Count()))
 
-	// 2. Replay: one pass of the trace drives a whole design sweep.
+	// 2. Replay: one pass of the trace drives a whole design sweep,
+	// ending with the paper's column buffers without and with the
+	// victim cache.
+	paper := core.Proposed()
+	bare := paper
+	bare.VictimEntries = 0
 	sweep := []cache.Cache{
 		cache.NewDirectMapped("16KB DM 32B", 16<<10, 32),
 		cache.NewSetAssoc("16KB 2W 32B", 16<<10, 32, 2),
-		cache.ProposedDCache(),
-		cache.Proposed(),
+		bare.DCache(),
+		paper.DCache(),
 	}
 	in, err := os.Open(path)
 	if err != nil {

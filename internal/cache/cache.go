@@ -171,18 +171,6 @@ func NewDirectMapped(name string, size, lineSize uint64) *SetAssoc {
 	return NewSetAssoc(name, size, lineSize, 1)
 }
 
-// ProposedICache is the paper's instruction cache: 16 column buffers of
-// 512 B, direct-mapped (8 KB total).
-func ProposedICache() *SetAssoc {
-	return NewDirectMapped("proposed 8KB DM 512B", 8<<10, 512)
-}
-
-// ProposedDCache is the paper's data cache: 16 banks × 2 column buffers
-// of 512 B, i.e. 16 KB 2-way set-associative with 512 B lines.
-func ProposedDCache() *SetAssoc {
-	return NewSetAssoc("proposed 16KB 2-way 512B", 16<<10, 512, 2)
-}
-
 // Name implements Cache.
 func (c *SetAssoc) Name() string { return c.name }
 
@@ -325,9 +313,6 @@ func NewVictim(n int, lineSize uint64) *Victim {
 	return &Victim{lineSize: lineSize, entries: make([]line, n)}
 }
 
-// ProposedVictim is the paper's 16 × 32 B victim cache.
-func ProposedVictim() *Victim { return NewVictim(16, VictimLineSize) }
-
 // Lookup probes the victim cache and updates LRU on hit.
 func (v *Victim) Lookup(addr uint64) bool {
 	lineAddr := addr / v.lineSize
@@ -388,10 +373,17 @@ type WithVictim struct {
 }
 
 // NewWithVictim wires a main cache to a victim cache. The main cache's
-// OnEvict hook is claimed by this wrapper.
+// OnEvict hook is claimed by this wrapper: it stages each evicted
+// line's most recently used sub-block into the victim cache, whether
+// the wrapper's Access or a caller driving Main and Vic directly (the
+// coherence nodes) causes the eviction. A nil vic gives the main cache
+// alone, which measures exactly like the bare SetAssoc.
 func NewWithVictim(main *SetAssoc, vic *Victim) *WithVictim {
-	w := &WithVictim{Main: main, Vic: vic,
-		nameFn: main.Name() + " + victim"}
+	w := &WithVictim{Main: main, Vic: vic, nameFn: main.Name()}
+	if vic == nil {
+		return w
+	}
+	w.nameFn += " + victim"
 	main.OnEvict = func(e Eviction) {
 		// Copy the most recently accessed 32 B sub-block of the
 		// evicted line. LastSub is a byte offset; round to block.
@@ -399,12 +391,6 @@ func NewWithVictim(main *SetAssoc, vic *Victim) *WithVictim {
 		vic.Insert(sub)
 	}
 	return w
-}
-
-// Proposed returns the paper's complete data-cache organisation:
-// 16 KB 2-way column-buffer cache plus 16×32 B victim cache.
-func Proposed() *WithVictim {
-	return NewWithVictim(ProposedDCache(), ProposedVictim())
 }
 
 // Name implements Cache.
@@ -427,7 +413,7 @@ func (w *WithVictim) Access(addr uint64, kind trace.Kind) bool {
 	// — unlike a conventional victim cache — does NOT reload the main
 	// cache: the 512 B / 32 B size disparity forbids promotion, so the
 	// main cache state is left alone (Section 5.4).
-	if w.Vic.Lookup(addr) {
+	if w.Vic != nil && w.Vic.Lookup(addr) {
 		w.stats.record(kind, false)
 		return true
 	}
@@ -443,6 +429,6 @@ func (w *WithVictim) Access(addr uint64, kind trace.Kind) bool {
 // Invalidate removes addr's block from both structures (coherence).
 func (w *WithVictim) Invalidate(addr uint64) bool {
 	m := w.Main.Invalidate(addr)
-	v := w.Vic.Invalidate(addr)
+	v := w.Vic != nil && w.Vic.Invalidate(addr)
 	return m || v
 }

@@ -8,6 +8,15 @@ import (
 	"repro/internal/trace"
 )
 
+// The paper's column-buffer organisation: an 8 KB direct-mapped
+// I-cache and a 16 KB 2-way D-cache of 512 B column buffers, and the
+// 16 × 32 B victim cache. core.Device.DCache builds the same from a
+// device description.
+func proposedICache() *SetAssoc { return NewDirectMapped("proposed I", 8<<10, 512) }
+func proposedDCache() *SetAssoc { return NewSetAssoc("proposed D", 16<<10, 512, 2) }
+func proposedVictim() *Victim   { return NewVictim(16, VictimLineSize) }
+func proposed() *WithVictim     { return NewWithVictim(proposedDCache(), proposedVictim()) }
+
 func TestDirectMappedBasics(t *testing.T) {
 	c := NewDirectMapped("t", 1024, 32) // 32 sets
 	if c.Access(0, trace.Load) {
@@ -88,17 +97,17 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestProposedGeometries(t *testing.T) {
-	ic := ProposedICache()
+	ic := proposedICache()
 	if ic.Sets() != 16 || ic.Ways() != 1 || ic.LineSize() != 512 {
 		t.Errorf("I-cache geometry: %d sets, %d ways, %d B lines",
 			ic.Sets(), ic.Ways(), ic.LineSize())
 	}
-	dc := ProposedDCache()
+	dc := proposedDCache()
 	if dc.Sets() != 16 || dc.Ways() != 2 || dc.LineSize() != 512 {
 		t.Errorf("D-cache geometry: %d sets, %d ways, %d B lines",
 			dc.Sets(), dc.Ways(), dc.LineSize())
 	}
-	v := ProposedVictim()
+	v := proposedVictim()
 	if len(v.entries) != 16 || v.lineSize != 32 {
 		t.Errorf("victim geometry: %d entries, %d B", len(v.entries), v.lineSize)
 	}
@@ -108,8 +117,8 @@ func TestProposedGeometries(t *testing.T) {
 // three sequential streams aliasing into one 2-way set thrash without
 // the victim cache; with it, only 32 B-block boundary crossings miss.
 func TestVictimAbsorbsConflicts(t *testing.T) {
-	plain := ProposedDCache()
-	withV := Proposed()
+	plain := proposedDCache()
+	withV := proposed()
 	// Three streams, 8 KiB apart: same set in a 16-set 512 B cache.
 	bases := []uint64{0x100000, 0x102000, 0x104000}
 	run := func(c Cache) float64 {
@@ -133,7 +142,7 @@ func TestVictimAbsorbsConflicts(t *testing.T) {
 // TestVictimNoMainReload verifies the paper's explicit rule: a victim
 // hit does not reload the main cache (the size disparity forbids it).
 func TestVictimNoMainReload(t *testing.T) {
-	w := Proposed()
+	w := proposed()
 	a := uint64(0x100000)
 	b := uint64(0x102000)   // same set
 	c := uint64(0x104000)   // same set
@@ -154,7 +163,7 @@ func TestVictimNoMainReload(t *testing.T) {
 // TestVictimFillsFromEvictedMRUBlock: the victim receives the
 // most-recently-accessed 32 B sub-block of the evicted line.
 func TestVictimFillsFromEvictedMRUBlock(t *testing.T) {
-	w := Proposed()
+	w := proposed()
 	a := uint64(0x100000)
 	w.Access(a+200, trace.Load) // a's line in main; last access at offset 200
 	w.Access(a+100, trace.Load) // ...now at offset 100
@@ -223,11 +232,40 @@ func TestHigherAssocNoWorse(t *testing.T) {
 // TestVictimNeverIncreasesMisses (property): adding the victim cache
 // can only convert misses into hits, never the reverse (the main cache
 // state transitions are identical in both configurations).
+// TestNilVictimIsMainAlone: a WithVictim without a victim cache (a
+// victimless device) measures exactly like its bare main cache.
+func TestNilVictimIsMainAlone(t *testing.T) {
+	plain := proposedDCache()
+	bare := NewWithVictim(proposedDCache(), nil)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 6000; i++ {
+		addr := uint64(rng.Intn(1 << 18))
+		kind := trace.Load
+		if i%4 == 0 {
+			kind = trace.Store
+		}
+		if plain.Access(addr, kind) != bare.Access(addr, kind) {
+			t.Fatalf("ref %d: bare compound and plain cache disagree", i)
+		}
+	}
+	if plain.Stats() != bare.Stats() {
+		t.Errorf("stats differ: plain %+v, bare %+v", plain.Stats(), bare.Stats())
+	}
+	for _, a := range []uint64{12345, 1 << 17} {
+		if want := plain.Probe(a); bare.Invalidate(a) != want {
+			t.Errorf("Invalidate(%#x) disagrees with the main cache's contents", a)
+		}
+	}
+	if bare.Name() != plain.Name() {
+		t.Errorf("bare compound named %q, want %q", bare.Name(), plain.Name())
+	}
+}
+
 func TestVictimNeverIncreasesMisses(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		plain := ProposedDCache()
-		withV := Proposed()
+		plain := proposedDCache()
+		withV := proposed()
 		for i := 0; i < 6000; i++ {
 			var addr uint64
 			switch rng.Intn(3) {
@@ -253,7 +291,7 @@ func TestVictimNeverIncreasesMisses(t *testing.T) {
 }
 
 func TestFlushClearsContents(t *testing.T) {
-	c := ProposedDCache()
+	c := proposedDCache()
 	c.Access(1234, trace.Load)
 	c.Flush()
 	if c.Probe(1234) {
@@ -279,7 +317,7 @@ func TestEvictionCallback(t *testing.T) {
 }
 
 func TestVictimInvalidate(t *testing.T) {
-	v := ProposedVictim()
+	v := proposedVictim()
 	v.Insert(0x1000)
 	if !v.Invalidate(0x1010) { // same 32 B block
 		t.Error("Invalidate missed resident block")
@@ -355,8 +393,8 @@ func TestStreamBufferMultipleStreams(t *testing.T) {
 // the conflicting re-references are to *evicted* blocks, not to the
 // next sequential ones.
 func TestVictimBeatsStreamOnConflicts(t *testing.T) {
-	vic := Proposed()
-	str := NewWithStream(ProposedDCache(), NewStreamBuffer(4, 4))
+	vic := proposed()
+	str := NewWithStream(proposedDCache(), NewStreamBuffer(4, 4))
 	bases := []uint64{0x100000, 0x102000, 0x104000} // same proposed set
 	run := func(c Cache) float64 {
 		for i := uint64(0); i < 4096; i += 8 {

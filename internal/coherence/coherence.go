@@ -37,14 +37,6 @@ import (
 // cache lines (false sharing would outweigh the prefetching benefits).
 const BlockSize = 32
 
-// DefaultColumnBytes is the paper's DRAM column (and cache line) size;
-// device-derived constructors use the device's own column size instead.
-const DefaultColumnBytes = 512
-
-// unitsPerColumn is how many coherence units one paper column holds —
-// the INC's set granularity (Figure 6: 7 data blocks + 1 tag block).
-const unitsPerColumn = DefaultColumnBytes / BlockSize
-
 // PageSize is the home-placement granularity.
 const PageSize = 4096
 
@@ -157,11 +149,23 @@ type Node interface {
 	Invalidate(base, size uint64)
 }
 
+// MaxNodes is the largest machine the directory can track: one bit
+// per node in a directory entry's sharer mask.
+const MaxNodes = 64
+
+// CheckNodes reports whether n processors fit one machine.
+func CheckNodes(n int) error {
+	if n < 1 || n > MaxNodes {
+		return fmt.Errorf("coherence: node count %d outside 1..%d", n, MaxNodes)
+	}
+	return nil
+}
+
 // NewMachine builds a machine with n nodes using the given node
-// constructor (one of NewIntegratedNode / NewReferenceNode wrappers).
+// constructor. It panics when n fails CheckNodes.
 func NewMachine(n int, lat Latencies, mk func(id int) Node) *Machine {
-	if n < 1 || n > 64 {
-		panic(fmt.Sprintf("coherence: node count %d outside 1..64", n))
+	if err := CheckNodes(n); err != nil {
+		panic(err.Error())
 	}
 	m := &Machine{Lat: lat, Unit: BlockSize}
 	for i := 0; i < n; i++ {
@@ -322,9 +326,6 @@ func (m *Machine) invalidateSharers(e *dirEntry, except int, block uint64) {
 	e.sharers = 0
 }
 
-// cacheKind re-exports the trace kind for sibling files.
-type cacheKind = trace.Kind
-
 // kindOf maps a write flag to the trace kind used by the cache models.
 func kindOf(write bool) trace.Kind {
 	if write {
@@ -355,19 +356,6 @@ type INC struct {
 	Invalidates int64
 }
 
-// NewINC builds an INC of the given total data capacity in bytes
-// (1 MB in the paper's simulations) holding blocks of unitBytes, with
-// the paper's 7-way organisation.
-func NewINC(capacityBytes, unitBytes uint64) *INC {
-	return NewINCWays(capacityBytes, unitBytes, 7)
-}
-
-// NewINCWays builds an INC with explicit associativity (for the
-// ablation study; the paper's column organisation fixes it at 7).
-func NewINCWays(capacityBytes, unitBytes uint64, ways int) *INC {
-	return NewINCGeom(capacityBytes, unitBytes, ways, unitsPerColumn)
-}
-
 // NewINCGeom builds an INC whose sets each span unitsPerSet units of
 // capacity — one DRAM column in the device organisation, so for a
 // 512 B column with 32 B units each column holds 7 data blocks plus
@@ -390,19 +378,6 @@ func NewINCGeom(capacityBytes, unitBytes uint64, ways, unitsPerSet int) *INC {
 		blocks: make([]uint64, sets*ways),
 		valid:  make([]bool, sets*ways),
 	}
-}
-
-// NewMachineINC builds an integrated machine whose nodes use an INC
-// of the given associativity and capacity (ablation support; the paper
-// uses 7 ways and 1 MB).
-func NewMachineINC(cfg Config, n, ways int, incBytes uint64) *Machine {
-	lat := DefaultLatencies()
-	withVictim := cfg == IntegratedVictim
-	return NewMachine(n, lat, func(id int) Node {
-		node := NewIntegratedNode(id, lat, withVictim, incBytes)
-		node.inc = NewINCWays(incBytes, BlockSize, ways)
-		return node
-	})
 }
 
 func (c *INC) set(block uint64) int { return int(block % uint64(c.sets)) }
@@ -464,82 +439,82 @@ func (c *INC) Invalidate(block uint64) bool {
 	return false
 }
 
-// IntegratedNode is the proposed processor/memory device as a
-// multiprocessor node.
-type IntegratedNode struct {
-	id         int
+// columnBuffers is the processor side of the integrated device that
+// the CC-NUMA and S-COMA nodes share: the column-buffer D-cache, the
+// victim cache its evictions stage into, and per-unit poison bits.
+type columnBuffers struct {
 	lat        Latencies
 	unit       uint64 // coherence unit (32 B in the paper)
 	line       uint64 // column (cache line) size (512 B in the paper)
 	victimLine uint64 // victim cache entry size (32 B in the paper)
 	dcache     *cache.SetAssoc
 	victim     *cache.Victim // nil when the victim cache is disabled
-	inc        *INC
 	// poisoned marks coherence units invalidated inside a still-resident
 	// column buffer line (coherence is per-unit; the column buffer keeps
 	// per-unit valid bits).
 	poisoned pagedBits
-
-	ColumnFills int64
 }
 
-// NewIntegratedNode builds a node with the paper's cache organisation.
-// withVictim selects the victim-cache-augmented variant of Figures
-// 13–17. incBytes is the INC capacity (1 MB in the paper).
-func NewIntegratedNode(id int, lat Latencies, withVictim bool, incBytes uint64) *IntegratedNode {
-	return NewIntegratedNodeUnit(id, lat, withVictim, incBytes, BlockSize)
-}
-
-// NewIntegratedNodeUnit builds a node with a non-default coherence
-// unit (the false-sharing ablation).
-func NewIntegratedNodeUnit(id int, lat Latencies, withVictim bool, incBytes, unit uint64) *IntegratedNode {
-	n := &IntegratedNode{
-		id:         id,
-		lat:        lat,
-		unit:       unit,
-		line:       DefaultColumnBytes,
-		victimLine: cache.VictimLineSize,
-		dcache:     cache.ProposedDCache(),
-		inc:        NewINC(incBytes, unit),
-	}
-	if withVictim {
-		n.victim = cache.ProposedVictim()
-	}
-	return n
-}
-
-// NewIntegratedNodeDevice builds a node whose cache organisation —
-// column buffers, victim cache, and INC geometry — is derived from a
-// machine description instead of the paper literals. For
-// core.Proposed() this matches NewIntegratedNodeUnit exactly.
-func NewIntegratedNodeDevice(id int, lat Latencies, withVictim bool, unit uint64, d core.Device) *IntegratedNode {
-	// Each INC set spans one column of capacity regardless of the
-	// ablation unit, as in the legacy constructor.
-	perSet := d.DRAM.ColumnBytes / d.CoherenceUnitBytes
-	n := &IntegratedNode{
-		id:         id,
+// newColumnBuffers builds d's D-cache and victim cache (through
+// core.Device.DCache, which wires the staging hook once) for the given
+// coherence unit.
+func newColumnBuffers(lat Latencies, unit uint64, d core.Device) columnBuffers {
+	dc := d.DCache()
+	return columnBuffers{
 		lat:        lat,
 		unit:       unit,
 		line:       uint64(d.DRAM.ColumnBytes),
 		victimLine: uint64(d.VictimLineBytes),
-		dcache: cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB device D-cache", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
-			uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays),
-		inc: NewINCGeom(uint64(d.INCBytes), unit, d.INCWays, perSet),
+		dcache:     dc.Main,
+		victim:     dc.Vic,
 	}
-	if withVictim && d.VictimEntries > 0 {
-		n.victim = cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
+}
+
+// invalidate poisons the unit [base, base+size) inside a resident
+// column and drops it from the victim cache.
+func (c *columnBuffers) invalidate(base, size uint64) {
+	if c.dcache.Probe(base) {
+		c.poisoned.set(base / c.unit)
 	}
-	return n
+	if c.victim != nil {
+		// The unit may span several victim-cache entries.
+		for a := base; a < base+size; a += c.victimLine {
+			c.victim.Invalidate(a)
+		}
+	}
+}
+
+// IntegratedNode is the proposed processor/memory device as a
+// multiprocessor node.
+type IntegratedNode struct {
+	columnBuffers
+	inc *INC
+
+	ColumnFills int64
+}
+
+// NewIntegratedNodeDevice builds a node whose column buffers, victim
+// cache and INC are derived from a machine description. withVictim
+// selects the victim-cache-augmented variant of Figures 13–17 (on a
+// device that has one); unit is the coherence unit, which the
+// false-sharing ablation varies.
+func NewIntegratedNodeDevice(lat Latencies, withVictim bool, unit uint64, d core.Device) *IntegratedNode {
+	if !withVictim {
+		d.VictimEntries = 0
+	}
+	return &IntegratedNode{
+		columnBuffers: newColumnBuffers(lat, unit, d),
+		// A set holds one column's worth of device coherence units
+		// (Figure 6: 7 data blocks + 1 tag block per 512 B column),
+		// whatever unit the ablation picks.
+		inc: NewINCGeom(uint64(d.INCBytes), unit, d.INCWays, d.DRAM.ColumnBytes/d.CoherenceUnitBytes),
+	}
 }
 
 // Access implements Node.
 func (n *IntegratedNode) Access(addr uint64, write, local bool) (uint64, bool) {
 	block := addr / n.unit
-	kind := trace.Load
-	if write {
-		kind = trace.Store
-	}
+	kind := kindOf(write)
 
 	if local {
 		// Local data flows through the column buffers directly.
@@ -586,15 +561,10 @@ func (n *IntegratedNode) Access(addr uint64, write, local bool) (uint64, bool) {
 	return 0, true
 }
 
-// fill loads the column containing addr into the D-cache, staging the
-// evicted line's MRU sub-block into the victim cache.
+// fill loads the column containing addr into the D-cache; the D-cache's
+// eviction hook (core.Device.DCache) stages the evicted line's MRU
+// sub-block into the victim cache.
 func (n *IntegratedNode) fill(addr uint64, kind trace.Kind) {
-	if n.victim != nil {
-		n.dcache.OnEvict = func(e cache.Eviction) {
-			sub := e.Addr + uint64(e.LastSub)/n.victimLine*n.victimLine
-			n.victim.Insert(sub)
-		}
-	}
 	n.dcache.Access(addr, kind)
 	n.ColumnFills++
 	// The whole column is now valid: clear any poisoned blocks in it.
@@ -606,17 +576,8 @@ func (n *IntegratedNode) fill(addr uint64, kind trace.Kind) {
 
 // Invalidate implements Node.
 func (n *IntegratedNode) Invalidate(base, size uint64) {
-	block := base / n.unit
-	if n.dcache.Probe(base) {
-		n.poisoned.set(block)
-	}
-	if n.victim != nil {
-		// The unit may span several victim-cache entries.
-		for a := base; a < base+size; a += n.victimLine {
-			n.victim.Invalidate(a)
-		}
-	}
-	n.inc.Invalidate(block)
+	n.invalidate(base, size)
+	n.inc.Invalidate(base / n.unit)
 }
 
 // ---------------------------------------------------------------------
@@ -626,7 +587,6 @@ func (n *IntegratedNode) Invalidate(base, size uint64) {
 // ReferenceNode is the comparison CC-NUMA node: 16 KB direct-mapped
 // FLC with 32 B lines and an infinite SLC.
 type ReferenceNode struct {
-	id      int
 	lat     Latencies
 	unit    uint64
 	flcLine uint64 // first-level cache line size (32 B in the paper)
@@ -634,24 +594,12 @@ type ReferenceNode struct {
 	slc     pagedBits // infinite second-level cache: block presence
 }
 
-// NewReferenceNode builds a reference node.
-func NewReferenceNode(id int, lat Latencies) *ReferenceNode {
-	return NewReferenceNodeUnit(id, lat, BlockSize)
-}
-
-// NewReferenceNodeUnit builds a reference node with a non-default
-// coherence unit.
-func NewReferenceNodeUnit(id int, lat Latencies, unit uint64) *ReferenceNode {
-	return NewReferenceNodeDevice(id, lat, unit, core.Reference())
-}
-
 // NewReferenceNodeDevice builds a reference node whose first-level
 // cache is derived from a machine description (the D-cache fields of a
 // non-integrated device). core.Reference() reproduces the paper's
 // 16 KB direct-mapped FLC with 32 B lines.
-func NewReferenceNodeDevice(id int, lat Latencies, unit uint64, d core.Device) *ReferenceNode {
+func NewReferenceNodeDevice(lat Latencies, unit uint64, d core.Device) *ReferenceNode {
 	return &ReferenceNode{
-		id:      id,
 		lat:     lat,
 		unit:    unit,
 		flcLine: uint64(d.DCacheLineBytes),
@@ -664,10 +612,7 @@ func NewReferenceNodeDevice(id int, lat Latencies, unit uint64, d core.Device) *
 // Access implements Node.
 func (n *ReferenceNode) Access(addr uint64, write, local bool) (uint64, bool) {
 	block := addr / n.unit
-	kind := trace.Load
-	if write {
-		kind = trace.Store
-	}
+	kind := kindOf(write)
 	if n.flc.Access(addr, kind) && n.slc.get(block) {
 		return n.lat.CacheHit, false
 	}
@@ -719,54 +664,33 @@ func (c Config) String() string {
 	}
 }
 
-// INCBytes is the paper's per-node Inter-Node Cache capacity.
-const INCBytes = 1 << 20
-
-// NewConfiguredMachine builds an n-node machine of the given config
-// with Table 6 latencies and the paper's 32 B coherence unit.
-func NewConfiguredMachine(cfg Config, n int) *Machine {
-	return NewConfiguredMachineUnit(cfg, n, BlockSize)
-}
-
-// NewConfiguredMachineUnit builds a machine with a non-default
-// coherence unit. The paper argues (Section 6.2) that the 512 B cache
-// lines must NOT be used as coherence units — this constructor lets
-// the ablation experiments demonstrate why.
-func NewConfiguredMachineUnit(cfg Config, n int, unit uint64) *Machine {
-	return NewConfiguredMachineDevices(cfg, n, unit, core.Proposed(), core.Reference())
-}
-
-// NewConfiguredMachineDevices builds a machine of the given config
-// whose node organisation and latencies are derived from a pair of
-// machine descriptions: prop describes the integrated device (and sets
-// the fabric latencies for every config), ref the conventional CC-NUMA
-// node. With the default devices this reproduces the paper's machines
-// exactly.
+// NewConfiguredMachineDevices builds an n-node machine of the given
+// config whose node organisation and latencies are derived from a pair
+// of machine descriptions: prop describes the integrated device (and
+// sets the fabric latencies for every config), ref the conventional
+// CC-NUMA node. unit is the coherence unit: the device's own for the
+// paper's machines; the false-sharing ablation raises it to show why
+// the 512 B cache lines must not be coherence units (Section 6.2).
 func NewConfiguredMachineDevices(cfg Config, n int, unit uint64, prop, ref core.Device) *Machine {
 	if unit < 32 || unit&(unit-1) != 0 {
 		panic("coherence: unit must be a power of two >= 32")
 	}
 	lat := LatenciesFor(prop)
-	var m *Machine
+	var mk func(id int) Node
 	switch cfg {
 	case ReferenceCCNUMA:
-		m = NewMachine(n, lat, func(id int) Node { return NewReferenceNodeDevice(id, lat, unit, ref) })
-	case IntegratedPlain:
-		m = NewMachine(n, lat, func(id int) Node {
-			return NewIntegratedNodeDevice(id, lat, false, unit, prop)
-		})
-	case IntegratedVictim:
-		m = NewMachine(n, lat, func(id int) Node {
-			return NewIntegratedNodeDevice(id, lat, true, unit, prop)
-		})
+		mk = func(int) Node { return NewReferenceNodeDevice(lat, unit, ref) }
+	case IntegratedPlain, IntegratedVictim:
+		mk = func(int) Node { return NewIntegratedNodeDevice(lat, cfg == IntegratedVictim, unit, prop) }
 	case SimpleCOMA:
 		if unit != uint64(prop.CoherenceUnitBytes) {
 			panic("coherence: S-COMA supports only the device's coherence unit")
 		}
-		m = NewSCOMAMachineDevice(n, prop)
+		mk = func(int) Node { return NewSCOMANodeDevice(lat, prop) }
 	default:
 		panic("coherence: unknown config")
 	}
+	m := NewMachine(n, lat, mk)
 	m.Unit = unit
 	return m
 }

@@ -4,19 +4,33 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-func newRefMachine(n int) *Machine {
-	return NewConfiguredMachine(ReferenceCCNUMA, n)
+// newMachineUnit builds an n-node machine of the paper's devices with
+// the given coherence unit; newMachine uses the paper's 32 B unit.
+func newMachineUnit(cfg Config, n int, unit uint64) *Machine {
+	return NewConfiguredMachineDevices(cfg, n, unit, core.Proposed(), core.Reference())
 }
+
+func newMachine(cfg Config, n int) *Machine { return newMachineUnit(cfg, n, BlockSize) }
+
+func newRefMachine(n int) *Machine { return newMachine(ReferenceCCNUMA, n) }
 
 func newIntMachine(n int, victim bool) *Machine {
 	cfg := IntegratedPlain
 	if victim {
 		cfg = IntegratedVictim
 	}
-	return NewConfiguredMachine(cfg, n)
+	return newMachine(cfg, n)
+}
+
+// newPaperINC is the paper's 7-way INC (seven blocks plus a tag block
+// per 512 B column) at the given capacity.
+func newPaperINC(capacityBytes uint64) *INC {
+	return NewINCGeom(capacityBytes, BlockSize, 7, 512/BlockSize)
 }
 
 func TestHomePlacement(t *testing.T) {
@@ -149,7 +163,7 @@ func TestPoisonedSubBlock(t *testing.T) {
 }
 
 func TestINCSevenWayAssociativity(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	sets := uint64(inc.Sets())
 	if sets < 2 {
 		t.Fatalf("degenerate INC: %d sets", sets)
@@ -170,7 +184,7 @@ func TestINCSevenWayAssociativity(t *testing.T) {
 }
 
 func TestINCInvalidate(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	inc.Insert(40)
 	if !inc.Invalidate(40) {
 		t.Error("Invalidate missed")
@@ -186,7 +200,7 @@ func TestINCInvalidate(t *testing.T) {
 // TestINCEventAccounting: Evictions counts only valid LRU ways dropped
 // by Insert, and Invalidates counts only blocks actually removed.
 func TestINCEventAccounting(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	sets := uint64(inc.Sets())
 	// Filling the seven ways of set 0 evicts nothing.
 	for i := uint64(0); i < 7; i++ {
@@ -284,14 +298,17 @@ func TestConfigStrings(t *testing.T) {
 }
 
 func TestMachineRejectsBadNodeCounts(t *testing.T) {
-	for _, n := range []int{0, 65} {
+	for _, n := range []int{0, MaxNodes + 1} {
+		if CheckNodes(n) == nil {
+			t.Errorf("CheckNodes(%d) accepted", n)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("NewMachine(%d) did not panic", n)
 				}
 			}()
-			NewConfiguredMachine(ReferenceCCNUMA, n)
+			newMachine(ReferenceCCNUMA, n)
 		}()
 	}
 }
@@ -314,7 +331,7 @@ func TestUnitConstructorValidation(t *testing.T) {
 					t.Errorf("unit %d accepted", unit)
 				}
 			}()
-			NewConfiguredMachineUnit(IntegratedVictim, 2, unit)
+			newMachineUnit(IntegratedVictim, 2, unit)
 		}()
 	}
 	// S-COMA only supports the 32 B unit.
@@ -324,12 +341,12 @@ func TestUnitConstructorValidation(t *testing.T) {
 				t.Error("S-COMA with a 512 B unit accepted")
 			}
 		}()
-		NewConfiguredMachineUnit(SimpleCOMA, 2, 512)
+		newMachineUnit(SimpleCOMA, 2, 512)
 	}()
 }
 
 func TestLargeUnitInvalidatesWholeRange(t *testing.T) {
-	m := NewConfiguredMachineUnit(IntegratedVictim, 2, 512)
+	m := newMachineUnit(IntegratedVictim, 2, 512)
 	// Node 0 caches a local column; node 1 writes one block in the
 	// same 512 B unit; every block of the unit must then be stale for
 	// node 0 (false sharing at work).
@@ -337,5 +354,40 @@ func TestLargeUnitInvalidatesWholeRange(t *testing.T) {
 	m.Access(1, 480, true)
 	if got := m.Access(0, 64, false); got < m.Lat.RemoteLoad {
 		t.Errorf("sibling block after unit invalidation = %d, want a recall", got)
+	}
+}
+
+// TestColumnFillsZeroAllocs: a local miss that refills a column and
+// stages the evicted line into the victim cache allocates nothing once
+// the directory pages exist — the staging hook is wired when the node
+// is built, not on every fill.
+func TestColumnFillsZeroAllocs(t *testing.T) {
+	for _, cfg := range []Config{IntegratedVictim, SimpleCOMA} {
+		m := newMachine(cfg, 2)
+		// Four times the 16 KB 2-way D-cache: every access refills a
+		// column and evicts the one 32 columns back.
+		const base, span = 1 << 20, 64 << 10
+		m.Place(base, span, 0)
+		walk := func() {
+			for a := uint64(base); a < base+span; a += 512 {
+				m.Access(0, a, false)
+			}
+		}
+		walk()
+		var dcache *cache.SetAssoc
+		var victim *cache.Victim
+		switch n := m.Nodes[0].(type) {
+		case *IntegratedNode:
+			dcache, victim = n.dcache, n.victim
+		case *SCOMANode:
+			dcache, victim = n.dcache, n.victim
+		}
+		fills := dcache.Fills
+		if allocs := testing.AllocsPerRun(10, walk); allocs != 0 {
+			t.Errorf("%v: %.1f allocs per %d-column walk, want 0", cfg, allocs, span/512)
+		}
+		if dcache.Fills == fills || victim == nil || !victim.Lookup(base+span-33*512) {
+			t.Errorf("%v: the walk did not refill columns and stage evictions", cfg)
+		}
 	}
 }

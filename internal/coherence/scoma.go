@@ -1,10 +1,8 @@
 package coherence
 
 import (
-	"fmt"
-
-	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // Simple-COMA support. Section 4.2 of the paper states that the
@@ -36,44 +34,19 @@ const PageAllocCycles = 150
 // buffers and victim cache as the integrated node, with an attraction
 // memory replacing the INC.
 type SCOMANode struct {
-	id         int
-	lat        Latencies
-	unit       uint64
-	line       uint64 // column (cache line) size
-	victimLine uint64 // victim cache entry size
-	dcache     *cache.SetAssoc
-	victim     *cache.Victim
-
-	frames   pagedBits // allocated local frames for remote pages
-	valid    pagedBits // fetched remote blocks
-	poisoned pagedBits // per-block invalidation inside resident columns
+	columnBuffers
+	frames pagedBits // allocated local frames for remote pages
+	valid  pagedBits // fetched remote blocks
 
 	// Allocations counts page-frame allocations (for reports).
 	Allocations int64
 }
 
-// NewSCOMANode builds a Simple-COMA node with the paper's organisation.
-func NewSCOMANode(id int, lat Latencies, withVictim bool) *SCOMANode {
-	return NewSCOMANodeDevice(id, lat, withVictim, core.Proposed())
-}
-
 // NewSCOMANodeDevice builds a Simple-COMA node whose column buffers and
-// victim cache are derived from a machine description.
-func NewSCOMANodeDevice(id int, lat Latencies, withVictim bool, d core.Device) *SCOMANode {
-	n := &SCOMANode{
-		id:         id,
-		lat:        lat,
-		unit:       uint64(d.CoherenceUnitBytes),
-		line:       uint64(d.DRAM.ColumnBytes),
-		victimLine: uint64(d.VictimLineBytes),
-		dcache: cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB device D-cache", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
-			uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays),
-	}
-	if withVictim && d.VictimEntries > 0 {
-		n.victim = cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
-	}
-	return n
+// victim cache (when the device has one, as in the best-performing
+// CC-NUMA variant) are derived from a machine description.
+func NewSCOMANodeDevice(lat Latencies, d core.Device) *SCOMANode {
+	return &SCOMANode{columnBuffers: newColumnBuffers(lat, uint64(d.CoherenceUnitBytes), d)}
 }
 
 // Access implements Node.
@@ -113,13 +86,10 @@ func (n *SCOMANode) Access(addr uint64, write, local bool) (uint64, bool) {
 	return alloc + n.lat.LocalMem, false
 }
 
-func (n *SCOMANode) localFill(addr uint64, kind kindT) {
-	if n.victim != nil {
-		n.dcache.OnEvict = func(e cache.Eviction) {
-			sub := e.Addr + uint64(e.LastSub)/n.victimLine*n.victimLine
-			n.victim.Insert(sub)
-		}
-	}
+// localFill loads the column containing addr into the D-cache (whose
+// eviction hook stages into the victim cache, as on the integrated
+// node).
+func (n *SCOMANode) localFill(addr uint64, kind trace.Kind) {
 	n.dcache.Access(addr, kind)
 	lineBase := addr / n.line * n.line
 	for b := lineBase / n.unit; b <= (lineBase+n.line-1)/n.unit; b++ {
@@ -135,37 +105,10 @@ func (n *SCOMANode) localFill(addr uint64, kind kindT) {
 
 // Invalidate implements Node.
 func (n *SCOMANode) Invalidate(base, size uint64) {
-	block := base / n.unit
-	n.valid.clear(block)
-	if n.dcache.Probe(base) {
-		n.poisoned.set(block)
-	}
-	if n.victim != nil {
-		for a := base; a < base+size; a += n.victimLine {
-			n.victim.Invalidate(a)
-		}
-	}
+	n.valid.clear(base / n.unit)
+	n.invalidate(base, size)
 }
-
-// kindT aliases the trace kind used by the cache package.
-type kindT = cacheKind
 
 // SimpleCOMA is the additional machine configuration (the paper's
 // second protocol-engine personality).
 const SimpleCOMA Config = 3
-
-// NewSCOMAMachine builds an n-node Simple-COMA machine with the
-// integrated node's cache organisation (victim cache included, as in
-// the best-performing CC-NUMA variant).
-func NewSCOMAMachine(n int) *Machine {
-	return NewSCOMAMachineDevice(n, core.Proposed())
-}
-
-// NewSCOMAMachineDevice builds an n-node Simple-COMA machine derived
-// from a machine description.
-func NewSCOMAMachineDevice(n int, d core.Device) *Machine {
-	lat := LatenciesFor(d)
-	return NewMachine(n, lat, func(id int) Node {
-		return NewSCOMANodeDevice(id, lat, true, d)
-	})
-}

@@ -3,7 +3,7 @@ package coherence
 import "testing"
 
 func TestSCOMAFirstTouchAllocates(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := newMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize) // home node 1, remote for node 0
 	got := m.Access(0, addr, false)
 	// First touch: page allocation + remote block fetch.
@@ -18,7 +18,7 @@ func TestSCOMAFirstTouchAllocates(t *testing.T) {
 }
 
 func TestSCOMAReaccessIsLocalSpeed(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := newMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize)
 	m.Access(0, addr, false) // alloc + fetch (also primes the column)
 	// Re-access: column buffer hit — the whole point of S-COMA.
@@ -28,7 +28,7 @@ func TestSCOMAReaccessIsLocalSpeed(t *testing.T) {
 }
 
 func TestSCOMASecondBlockSamePageNoAlloc(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := newMachine(SimpleCOMA, 2)
 	m.Access(0, PageSize, false)
 	// Another block in the same page: fetch but no allocation trap.
 	got := m.Access(0, PageSize+4*BlockSize, false)
@@ -38,7 +38,7 @@ func TestSCOMASecondBlockSamePageNoAlloc(t *testing.T) {
 }
 
 func TestSCOMAInvalidationForcesRefetch(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := newMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize)
 	m.Access(0, addr, false) // node 0 caches it
 	m.Access(1, addr, true)  // home writes: node 0's copy invalidated
@@ -49,7 +49,7 @@ func TestSCOMAInvalidationForcesRefetch(t *testing.T) {
 }
 
 func TestSCOMALocalDataUnaffected(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := newMachine(SimpleCOMA, 2)
 	if got := m.Access(0, 0, false); got != m.Lat.LocalMem {
 		t.Errorf("local cold = %d, want %d", got, m.Lat.LocalMem)
 	}
@@ -66,14 +66,14 @@ func TestSCOMAConfigString(t *testing.T) {
 	if SimpleCOMA.String() != "integrated S-COMA" {
 		t.Errorf("got %q", SimpleCOMA.String())
 	}
-	m := NewConfiguredMachine(SimpleCOMA, 2)
+	m := newMachine(SimpleCOMA, 2)
 	if len(m.Nodes) != 2 {
 		t.Error("configured machine wrong")
 	}
 }
 
 func TestEngineOccupancyQueues(t *testing.T) {
-	m := NewConfiguredMachine(IntegratedVictim, 2)
+	m := newMachine(IntegratedVictim, 2)
 	m.EnableEngines(1)
 	// Two back-to-back remote fetches at the same instant: the second
 	// must queue behind the first on the single home engine.
@@ -89,7 +89,7 @@ func TestEngineOccupancyQueues(t *testing.T) {
 }
 
 func TestEngineDisabledByDefault(t *testing.T) {
-	m := NewConfiguredMachine(IntegratedVictim, 2)
+	m := newMachine(IntegratedVictim, 2)
 	a := m.AccessAt(0, PageSize, false, 0)
 	if a != m.Lat.RemoteLoad {
 		t.Errorf("AccessAt without engines = %d, want plain %d", a, m.Lat.RemoteLoad)
@@ -100,7 +100,7 @@ func TestEngineDisabledByDefault(t *testing.T) {
 }
 
 func TestCacheHitsBypassEngines(t *testing.T) {
-	m := NewConfiguredMachine(IntegratedVictim, 2)
+	m := newMachine(IntegratedVictim, 2)
 	m.EnableEngines(1)
 	m.AccessAt(0, 0, false, 0) // local cold fill (uses engine)
 	_, before := m.EngineStats()

@@ -267,14 +267,21 @@ func (d Device) validateReference() error {
 	return nil
 }
 
-// Caches instantiates the device's cache models (fresh state).
-func (d Device) Caches() (icache *cache.SetAssoc, dcache *cache.WithVictim) {
-	ic := cache.NewSetAssoc("device I-cache",
-		uint64(d.ICacheBytes), uint64(d.ICacheLineBytes), 1)
-	dc := cache.NewSetAssoc("device D-cache",
+// DCache instantiates the device's data cache (fresh state): the
+// column-buffer D-cache and, when the device has one, the victim cache
+// its evictions stage into. It is the one builder of that pair — the
+// coherence nodes, the ablations and the tools all call it, and drop
+// the victim cache by zeroing VictimEntries on a copy. A victimless
+// device yields a nil Vic, which measures as the D-cache alone.
+func (d Device) DCache() *cache.WithVictim {
+	dc := cache.NewSetAssoc(
+		fmt.Sprintf("proposed %dKB %d-way %dB", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
 		uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays)
-	vc := cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
-	return ic, cache.NewWithVictim(dc, vc)
+	var vc *cache.Victim
+	if d.VictimEntries > 0 {
+		vc = cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
+	}
+	return cache.NewWithVictim(dc, vc)
 }
 
 // Fabric instantiates the device's interconnect interface.

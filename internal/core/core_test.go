@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestProposedValidates(t *testing.T) {
@@ -46,13 +48,36 @@ func TestValidateCatchesImbalance(t *testing.T) {
 }
 
 func TestCachesMatchSpec(t *testing.T) {
-	d := Proposed()
-	ic, dc := d.Caches()
-	if ic.Sets() != 16 || ic.LineSize() != 512 {
-		t.Errorf("I-cache instantiation: %d sets, %d B", ic.Sets(), ic.LineSize())
+	dc := Proposed().DCache()
+	if dc.Main.Sets() != 16 || dc.Main.Ways() != 2 || dc.Main.LineSize() != 512 {
+		t.Errorf("D-cache instantiation: %d sets, %d ways, %d B lines",
+			dc.Main.Sets(), dc.Main.Ways(), dc.Main.LineSize())
 	}
-	if dc.Main.Sets() != 16 || dc.Main.Ways() != 2 {
-		t.Errorf("D-cache instantiation: %d sets, %d ways", dc.Main.Sets(), dc.Main.Ways())
+	if dc.Vic == nil {
+		t.Fatal("paper device built without its victim cache")
+	}
+	if got, want := dc.Name(), "proposed 16KB 2-way 512B + victim"; got != want {
+		t.Errorf("D-cache name = %q, want %q", got, want)
+	}
+}
+
+// TestVictimlessDCache: a device without a victim cache validates, and
+// its builder returns the bare column-buffer D-cache instead of
+// panicking on a zero-entry victim array.
+func TestVictimlessDCache(t *testing.T) {
+	d := Proposed().WithGeometry(16, 512, 0)
+	if err := d.Validate(); err != nil {
+		t.Fatalf("victimless device rejected: %v", err)
+	}
+	dc := d.DCache()
+	if dc.Vic != nil {
+		t.Fatal("victimless device built a victim cache")
+	}
+	for a := uint64(0); a < 64<<10; a += 512 {
+		dc.Access(a, trace.Load)
+	}
+	if s := dc.Stats().Data(); s.Total != 128 || s.Events != 128 {
+		t.Errorf("cold column walk: %d misses of %d refs, want 128 of 128", s.Events, s.Total)
 	}
 }
 

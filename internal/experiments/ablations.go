@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/mpsim"
 	"repro/internal/report"
@@ -168,39 +169,31 @@ func ablateVictimBench(o Options, name string) ([]VictimSizeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The device's D-cache with each victim size in turn; a victimless
+	// device sweeps victim entries of the paper's 32 B.
 	dev := o.Device()
-	mkMain := func() *cache.SetAssoc {
-		return cache.NewSetAssoc("ablate-victim main", uint64(dev.DCacheBytes),
-			uint64(dev.DCacheLineBytes), dev.DCacheWays)
+	if dev.VictimLineBytes == 0 {
+		dev.VictimLineBytes = cache.VictimLineSize
 	}
-	vline := uint64(dev.VictimLineBytes)
-	if vline == 0 {
-		vline = cache.VictimLineSize
-	}
-	plain := mkMain()
-	withV := make([]*cache.WithVictim, 0, len(entries)-1)
-	for _, e := range entries[1:] {
-		withV = append(withV, cache.NewWithVictim(mkMain(), cache.NewVictim(e, vline)))
+	caches := make([]*cache.WithVictim, len(entries))
+	for i, e := range entries {
+		dev.VictimEntries = e
+		caches[i] = dev.DCache()
 	}
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.Ifetch {
 			return
 		}
-		plain.Access(r.Addr, r.Kind)
-		for _, c := range withV {
+		for _, c := range caches {
 			c.Access(r.Addr, r.Kind)
 		}
 	})
 	if err := o.stream(w, sink); err != nil {
 		return nil, err
 	}
-	rows := []VictimSizeRow{{
-		Bench: name, Entries: 0, MissPct: plain.Stats().Data().Percent(),
-	}}
-	for i, e := range entries[1:] {
-		rows = append(rows, VictimSizeRow{
-			Bench: name, Entries: e, MissPct: withV[i].Stats().Data().Percent(),
-		})
+	rows := make([]VictimSizeRow, len(entries))
+	for i, e := range entries {
+		rows[i] = VictimSizeRow{Bench: name, Entries: e, MissPct: caches[i].Stats().Data().Percent()}
 	}
 	return rows, nil
 }
@@ -244,8 +237,9 @@ type UnitResult struct {
 const ablateUnitProcs = 4
 
 // ablateCoherenceUnitJob runs SPLASH benchmarks with 32, 128, and
-// 512 B coherence units on the integrated+victim machine, one unit per
-// SPLASH benchmark plus one for the false-sharing microbenchmark.
+// 512 B coherence units on the device's integrated+victim machine, one
+// unit per SPLASH benchmark plus one for the false-sharing
+// microbenchmark.
 // Paper grounding: Section 6.2 — "it is important not to use the long
 // cache lines as coherence units, because the false-sharing costs would
 // outweigh the prefetching benefits for most applications".
@@ -260,7 +254,7 @@ func ablateCoherenceUnitJob(o Options, _ *MeasurementSet) sweep.Job {
 	}
 	units = append(units, sweep.Unit{
 		Name: "ablate-unit/falseshare",
-		Run:  func() (interface{}, error) { return ablateUnitMicro() },
+		Run:  func() (interface{}, error) { return ablateUnitMicro(o) },
 	})
 	return sweep.Job{Name: "ablate-unit", Units: units, Assemble: concatRows[UnitRow](func(rows []UnitRow) interface{} {
 		return &UnitResult{Procs: ablateUnitProcs, Rows: rows}
@@ -279,7 +273,8 @@ func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
 	}
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
-		r := b.RunUnit(ablateUnitProcs, coherence.IntegratedVictim, sz, u)
+		m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, ablateUnitProcs, u, o.Device(), core.Reference())
+		r := b.RunMachine(ablateUnitProcs, m, sz)
 		rows = append(rows, UnitRow{Bench: name, UnitBytes: u, Cycles: r.Cycles})
 	}
 	return rows, nil
@@ -290,10 +285,10 @@ func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
 // into one 512 B region. With 32 B units every processor owns its
 // counter; with 512 B units the writes ping-pong ownership of the
 // whole unit.
-func ablateUnitMicro() ([]UnitRow, error) {
+func ablateUnitMicro(o Options) ([]UnitRow, error) {
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
-		m := coherence.NewConfiguredMachineUnit(coherence.IntegratedVictim, ablateUnitProcs, u)
+		m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, ablateUnitProcs, u, o.Device(), core.Reference())
 		r := mpsim.Run(ablateUnitProcs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {
 			addr := uint64(0x1000 + p.ID*coherence.BlockSize)
 			for i := 0; i < 400; i++ {
@@ -420,13 +415,14 @@ type INCResult struct{ Rows []INCRow }
 // (a 16 KB slice instead of 1 MB) so that conflicts — not capacity
 // slack — are what the associativity fights; the paper's own INC is
 // sized above the working sets for the same reason in reverse
-// (Section 6.1).
+// (Section 6.1). Each machine is the device with only its INC
+// associativity and capacity overridden.
 func ablateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
 	sz := splash.Full()
 	// Undersizing tracks the data set: small enough that the remote
 	// working set does not rattle around in capacity slack, large
 	// enough that conflicts (not pure capacity) decide the outcome.
-	smallINC := uint64(256 << 10)
+	smallINC := 256 << 10
 	if o.MPQuick {
 		sz = splash.Quick()
 		smallINC = 16 << 10
@@ -441,7 +437,9 @@ func ablateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
 					if err != nil {
 						return nil, err
 					}
-					m := coherence.NewMachineINC(coherence.IntegratedVictim, 4, ways, smallINC)
+					dev := o.Device()
+					dev.INCWays, dev.INCBytes = ways, smallINC
+					m := newMachine(coherence.IntegratedVictim, 4, dev)
 					r := b.RunMachine(4, m, sz)
 					return INCRow{
 						Bench: name, Ways: ways,
@@ -504,7 +502,7 @@ func ablateEnginesJob(o Options, _ *MeasurementSet) sweep.Job {
 					if err != nil {
 						return nil, err
 					}
-					m := coherence.NewConfiguredMachine(coherence.IntegratedVictim, procs)
+					m := newMachine(coherence.IntegratedVictim, procs, o.Device())
 					m.EnableEngines(engines)
 					r := b.RunMachine(procs, m, sz)
 					q, _ := m.EngineStats()
@@ -537,7 +535,7 @@ func (r *EngineResult) Table() *report.Table {
 type JouppiRow struct {
 	Bench     string
 	PlainPct  float64 // column-buffer cache alone
-	VictimPct float64 // + 16×32 B victim cache (the paper's choice)
+	VictimPct float64 // + the device's victim cache (paper: 16×32 B); = PlainPct without one
 	StreamPct float64 // + 4×4 stream buffers (the alternative)
 }
 
@@ -571,9 +569,11 @@ func ablateJouppiBench(o Options, name string) (JouppiRow, error) {
 	if err != nil {
 		return JouppiRow{}, err
 	}
-	plain := cache.ProposedDCache()
-	vic := cache.Proposed()
-	str := cache.NewWithStream(cache.ProposedDCache(), cache.NewStreamBuffer(4, 4))
+	dev := o.Device()
+	bare := dev
+	bare.VictimEntries = 0
+	plain, vic := bare.DCache(), dev.DCache()
+	str := cache.NewWithStream(bare.DCache().Main, cache.NewStreamBuffer(4, 4))
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.Ifetch {
 			return

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 )
 
 func TestAblateLineSize(t *testing.T) {
@@ -167,6 +170,54 @@ func TestAblateJouppi(t *testing.T) {
 		}
 		if row.VictimPct > row.PlainPct+0.01 {
 			t.Errorf("%s: victim worse than plain", row.Bench)
+		}
+	}
+}
+
+// TestAblationsFollowMachine: the coherence-unit, INC, protocol-engine
+// and Jouppi ablations simulate the configured device, not the paper
+// machine — on the 32-bank, 256 B-column example with 8 victim entries
+// their results differ from the default device's.
+func TestAblationsFollowMachine(t *testing.T) {
+	dev, err := core.LoadFile(filepath.Join("..", "..", "examples", "machine-32bank.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := topts
+	mach.Machine = &dev
+	for _, name := range []string{"ablate-unit", "ablate-inc", "ablate-engines", "ablate-jouppi"} {
+		def, err := Run[any](name, topts, nil)
+		if err != nil {
+			t.Fatalf("%s on the default device: %v", name, err)
+		}
+		got, err := Run[any](name, mach, nil)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", name, dev.Name, err)
+		}
+		if reflect.DeepEqual(def, got) {
+			t.Errorf("%s: identical results for the default and 32-bank devices; -machine does not reach it", name)
+		}
+	}
+}
+
+// TestAblateJouppiVictimless: on a device without a victim cache the
+// Jouppi ablation runs, and its "+ victim" column repeats the
+// column-buffer column.
+func TestAblateJouppiVictimless(t *testing.T) {
+	dev := core.Proposed().WithGeometry(16, 512, 0)
+	o := topts
+	o.Machine = &dev
+	r, err := Run[*JouppiResult]("ablate-jouppi", o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	for _, row := range r.Rows {
+		if row.VictimPct != row.PlainPct {
+			t.Errorf("%s: + victim %.3f%% on a victimless device, want the plain %.3f%%",
+				row.Bench, row.VictimPct, row.PlainPct)
 		}
 	}
 }

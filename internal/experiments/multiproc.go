@@ -29,6 +29,13 @@ type SplashResult struct {
 	Points []SplashPoint
 }
 
+// newMachine builds an n-node machine of configuration cfg from the
+// integrated device dev, at dev's coherence unit, and the paper's
+// reference node.
+func newMachine(cfg coherence.Config, n int, dev core.Device) *coherence.Machine {
+	return coherence.NewConfiguredMachineDevices(cfg, n, uint64(dev.CoherenceUnitBytes), dev, core.Reference())
+}
+
 // splashFigureJob builds one of Figures 13–17: the named SPLASH
 // benchmark over every processor count and the three system
 // configurations, as one unit per (processor count, machine
@@ -56,9 +63,7 @@ func splashFigureJob(jobName, bench string) func(Options, *MeasurementSet) sweep
 					if err != nil {
 						return SplashPoint{}, err
 					}
-					prop := o.Device()
-					m := coherence.NewConfiguredMachineDevices(cfg, np,
-						uint64(prop.CoherenceUnitBytes), prop, core.Reference())
+					m := newMachine(cfg, np, o.Device())
 					r := b.RunMachine(np, m, sz)
 					if o.Obs != nil {
 						m.Publish(o.Obs)
@@ -183,9 +188,7 @@ func scomaJob(o Options, _ *MeasurementSet) sweep.Job {
 	for _, b := range benches {
 		for _, cfg := range scomaConfigs {
 			units = append(units, unit(k, fmt.Sprintf("scoma/%s/%s", b.Name, cfg), 0, cyclesCodec, func() (uint64, error) {
-				prop := o.Device()
-				m := coherence.NewConfiguredMachineDevices(cfg, procs,
-					uint64(prop.CoherenceUnitBytes), prop, core.Reference())
+				m := newMachine(cfg, procs, o.Device())
 				r := b.RunMachine(procs, m, sz)
 				if o.Obs != nil {
 					m.Publish(o.Obs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/report"
 	"repro/internal/selftest"
@@ -187,7 +188,7 @@ func workloadsJob(Options, *MeasurementSet) sweep.Job {
 func fig910Job(o Options, _ *MeasurementSet) sweep.Job {
 	return sweep.Single("fig910", func() (interface{}, error) {
 		var buf bytes.Buffer
-		for _, cfg := range []cpumodel.SystemConfig{cpumodel.ConfigFor(o.Device()), cpumodel.Reference()} {
+		for _, cfg := range []cpumodel.SystemConfig{cpumodel.ConfigFor(o.Device()), cpumodel.ConfigFor(core.Reference())} {
 			m, err := cpumodel.Build(cfg, cpumodel.AppRates{
 				Name: "shape", BaseCPI: 1, LoadFrac: 0.25, StoreFrac: 0.1,
 				IHit: 0.95, LoadHit: 0.95, StoreHit: 0.95,

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -127,7 +128,8 @@ func ExpandNames(names []string) []string {
 // Validate rejects malformed requests before any work is scheduled:
 // unknown experiment names, an unparsable or invalid machine
 // description (the core.FromJSON validation errors, verbatim), and
-// non-positive processor counts. The daemon surfaces these as 400s.
+// processor counts outside 1..coherence.MaxNodes. The daemon surfaces
+// these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
@@ -137,14 +139,22 @@ func (r Request) Validate() error {
 			return fmt.Errorf("runner: unknown experiment %q", name)
 		}
 	}
-	for _, p := range r.Procs {
-		if p < 1 {
-			return fmt.Errorf("runner: bad processor count %d", p)
-		}
+	if err := checkProcs(r.Procs); err != nil {
+		return err
 	}
 	if len(r.Machine) > 0 {
 		if _, err := core.FromJSON(r.Machine); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkProcs rejects a processor count no simulated machine can have.
+func checkProcs(procs []int) error {
+	for _, p := range procs {
+		if coherence.CheckNodes(p) != nil {
+			return fmt.Errorf("runner: bad processor count %d (want 1..%d)", p, coherence.MaxNodes)
 		}
 	}
 	return nil
@@ -164,10 +174,8 @@ func (r Request) Options() (experiments.Options, error) {
 		opts.Seed = r.Seed
 	}
 	if len(r.Procs) > 0 {
-		for _, p := range r.Procs {
-			if p < 1 {
-				return experiments.Options{}, fmt.Errorf("runner: bad processor count %d", p)
-			}
+		if err := checkProcs(r.Procs); err != nil {
+			return experiments.Options{}, err
 		}
 		opts.Procs = append([]int(nil), r.Procs...)
 	}

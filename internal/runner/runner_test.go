@@ -31,6 +31,7 @@ func TestValidate(t *testing.T) {
 		{"unknown", quickReq("fig99"), `unknown experiment "fig99"`},
 		{"known", quickReq("fig7", "spec", "designspace", "all"), ""},
 		{"bad-procs", Request{Experiments: []string{"fig13"}, Procs: []int{0}}, "processor count"},
+		{"too-many-procs", Request{Experiments: []string{"fig13"}, Procs: []int{65}}, "processor count"},
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},

@@ -21,7 +21,7 @@ func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// Coord's wake-delivery accounting varies with host scheduling by
 	// design; everything else in the Result must be bit-exact.
 	run := func(b Benchmark) mpsim.Result {
-		r := b.Run(procs, coherence.IntegratedVictim, sz)
+		r := runPaper(b, procs, coherence.IntegratedVictim, sz)
 		r.Coord = r.Coord.Deterministic()
 		return r
 	}

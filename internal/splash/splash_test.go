@@ -5,8 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/mpsim"
 )
+
+// runPaper runs b on n processors of the paper's machine of config cfg.
+func runPaper(b Benchmark, n int, cfg coherence.Config, sz Size) mpsim.Result {
+	m := coherence.NewConfiguredMachineDevices(cfg, n, coherence.BlockSize, core.Proposed(), core.Reference())
+	return b.RunMachine(n, m, sz)
+}
 
 // results caches one run per (bench, procs, config) for the package.
 var results = map[string]mpsim.Result{}
@@ -21,7 +28,7 @@ func run(t *testing.T, name string, procs int, cfg coherence.Config) mpsim.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := b.Run(procs, cfg, Quick())
+	r := runPaper(b, procs, cfg, Quick())
 	results[key] = r
 	return r
 }
@@ -89,8 +96,8 @@ func TestFullScaleSpeedup(t *testing.T) {
 		t.Skip("set IRAM_FULL_TESTS=1 for paper-scale runs")
 	}
 	for _, b := range All() {
-		one := b.Run(1, coherence.IntegratedVictim, Full())
-		eight := b.Run(8, coherence.IntegratedVictim, Full())
+		one := runPaper(b, 1, coherence.IntegratedVictim, Full())
+		eight := runPaper(b, 8, coherence.IntegratedVictim, Full())
 		if eight.Cycles >= one.Cycles {
 			t.Errorf("%s: no full-scale speedup (1p=%d, 8p=%d)", b.Name, one.Cycles, eight.Cycles)
 		}
@@ -100,8 +107,8 @@ func TestFullScaleSpeedup(t *testing.T) {
 // TestDeterministic: repeated runs are cycle-identical.
 func TestDeterministic(t *testing.T) {
 	b, _ := ByName("MP3D")
-	r1 := b.Run(4, coherence.IntegratedVictim, Quick())
-	r2 := b.Run(4, coherence.IntegratedVictim, Quick())
+	r1 := runPaper(b, 4, coherence.IntegratedVictim, Quick())
+	r2 := runPaper(b, 4, coherence.IntegratedVictim, Quick())
 	if r1.Cycles != r2.Cycles || r1.Accesses != r2.Accesses {
 		t.Errorf("nondeterministic: %v vs %v", r1, r2)
 	}

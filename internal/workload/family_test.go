@@ -12,7 +12,7 @@ import (
 // organisation, built from the device fields, one trace pass per
 // point) reports — including the victim-compound replays, whose
 // eviction-order state cannot come from the histograms. The oracle,
-// not RunDevices, is the reference: CacheSet is itself a one-point
+// not RunDevicesFrom, is the reference: CacheSet is itself a one-point
 // family.
 func TestFamilyMatchesPerPoint(t *testing.T) {
 	points := []FamilyPoint{

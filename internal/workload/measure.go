@@ -79,14 +79,8 @@ type CacheSet struct {
 	lastDLine    uint64 // previous load/store conventional line + 1 (0 = none)
 }
 
-// NewCacheSet builds the profilers and fallback models for one run of
-// the paper's configurations.
-func NewCacheSet() *CacheSet {
-	return NewCacheSetFor(core.Proposed(), core.Reference())
-}
-
-// NewCacheSetFor builds the measurement set for an explicit device
-// pair: prop supplies the column-buffer cache geometries (and victim
+// NewCacheSetFor builds the measurement set for one run against a
+// device pair: prop supplies the column-buffer cache geometries (and victim
 // cache), ref the conventional line size, the L1 pair feeding the L2,
 // and the L2 itself. The proposed caches are measured as one family
 // point at the DRAM column size: core.Device.Validate pins the I-cache
@@ -292,21 +286,11 @@ type Measurement struct {
 	Instr    int64
 }
 
-// Run executes the workload for the given instruction budget (<= 0
-// means the workload's own default) and measures every cache model via
-// the single-pass profiled path.
-func Run(w Workload, budget int64) (*Measurement, error) {
-	return runWith(w, budget, NewCacheSet(), Live{})
-}
-
-// RunDevices is Run against an explicit device pair (the -machine path
-// and the designspace sweep).
-func RunDevices(w Workload, budget int64, prop, ref core.Device) (*Measurement, error) {
-	return runWith(w, budget, NewCacheSetFor(prop, ref), Live{})
-}
-
-// RunDevicesFrom is RunDevices with the reference stream drawn from an
-// explicit Source (the trace record/replay path).
+// RunDevicesFrom executes the workload for the given instruction
+// budget (<= 0 means the workload's own default), drawing its reference
+// stream from src (Live{} or the trace record/replay path), and
+// measures every cache model of the device pair via the single-pass
+// profiled path.
 func RunDevicesFrom(w Workload, budget int64, prop, ref core.Device, src Source) (*Measurement, error) {
 	return runWith(w, budget, NewCacheSetFor(prop, ref), src)
 }

@@ -40,7 +40,7 @@ func TestFastMatchesReplay(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			fast, err := RunDevices(c.w, budget, core.Proposed(), c.ref)
+			fast, err := RunDevicesFrom(c.w, budget, core.Proposed(), c.ref, Live{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestRatesAgreeAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(w, 120_000)
+	fast, err := runPaper(w, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMeasurementConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(w, 50_000)
+	m, err := runPaper(w, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}

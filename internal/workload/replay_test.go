@@ -157,12 +157,18 @@ func (cs *ReplayCacheSet) L2Stats() cache.Stats {
 	return cs.L2.Stats()
 }
 
-// RunReplay is Run on the oracle path.
+// runPaper measures w live against the paper's device pair.
+func runPaper(w Workload, budget int64) (*Measurement, error) {
+	return RunDevicesFrom(w, budget, core.Proposed(), core.Reference(), Live{})
+}
+
+// RunReplay is runPaper on the oracle path.
 func RunReplay(w Workload, budget int64) (*Measurement, error) {
 	return RunReplayDevices(w, budget, core.Proposed(), core.Reference())
 }
 
-// RunReplayDevices is RunDevices on the oracle path.
+// RunReplayDevices is RunDevicesFrom from a live stream on the oracle
+// path.
 func RunReplayDevices(w Workload, budget int64, prop, ref core.Device) (*Measurement, error) {
 	return runWith(w, budget, NewReplayCacheSetFor(prop, ref), Live{})
 }

@@ -23,7 +23,7 @@ func measure(t *testing.T, name string) *Measurement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(w, testBudget)
+	m, err := runPaper(w, testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

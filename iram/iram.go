@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/isa"
 	"repro/internal/mpsim"
@@ -106,7 +107,7 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	cs := workload.NewCacheSet()
+	cs := workload.NewCacheSetFor(core.Proposed(), core.Reference())
 	cpu, err := vm.RunProgram(p, cs, cfg.Budget)
 	if err != nil {
 		return nil, err
@@ -139,7 +140,7 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 		},
 	}
 	rates := workload.AppRates("user-program", cfg.BaseCPI, counts, propI, vicD)
-	r, err := cpumodel.Evaluate(cpumodel.Integrated(), rates, cfg.GSPNInstructions, cfg.Seed)
+	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(core.Proposed()), rates, cfg.GSPNInstructions, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -197,26 +198,37 @@ func SPLASHBenchmarks() []string {
 	return names
 }
 
-// RunSPLASH executes one SPLASH benchmark on procs processors under
-// the chosen architecture. quick selects the reduced data set.
+// RunSPLASH executes one SPLASH benchmark on procs processors (1 to
+// coherence.MaxNodes) under the chosen architecture. quick selects the
+// reduced data set.
 func RunSPLASH(name string, procs int, cfg MPConfig, quick bool) (*MPResult, error) {
 	b, err := splash.ByName(name)
 	if err != nil {
+		return nil, err
+	}
+	if err := coherence.CheckNodes(procs); err != nil {
 		return nil, err
 	}
 	sz := splash.Full()
 	if quick {
 		sz = splash.Quick()
 	}
-	r := b.Run(procs, coherence.Config(cfg), sz)
+	r := b.RunMachine(procs, newMachine(cfg, procs), sz)
 	return &MPResult{Benchmark: name, Procs: procs, Cycles: r.Cycles, Accesses: r.Accesses}, nil
 }
 
-// Machine exposes the coherence machine + execution-driven simulator
-// for custom parallel workloads: body runs once per simulated
-// processor and issues references through the Proc handle.
+// newMachine builds the paper's procs-node machine of configuration cfg.
+func newMachine(cfg MPConfig, procs int) *coherence.Machine {
+	return coherence.NewConfiguredMachineDevices(coherence.Config(cfg), procs,
+		coherence.BlockSize, core.Proposed(), core.Reference())
+}
+
+// RunParallel exposes the coherence machine + execution-driven
+// simulator for custom parallel workloads: body runs once per
+// simulated processor and issues references through the Proc handle.
+// It panics when procs is outside 1..coherence.MaxNodes.
 func RunParallel(procs int, cfg MPConfig, body func(p *Proc)) *MPResult {
-	m := coherence.NewConfiguredMachine(coherence.Config(cfg), procs)
+	m := newMachine(cfg, procs)
 	r := mpsim.Run(procs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {
 		body(&Proc{p})
 	})

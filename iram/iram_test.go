@@ -100,6 +100,11 @@ func TestSPLASH(t *testing.T) {
 	if _, err := RunSPLASH("nonesuch", 2, IntegratedVictim, true); err == nil {
 		t.Error("RunSPLASH accepted an unknown name")
 	}
+	for _, procs := range []int{0, 65} {
+		if _, err := RunSPLASH("LU", procs, IntegratedVictim, true); err == nil {
+			t.Errorf("RunSPLASH accepted %d processors", procs)
+		}
+	}
 }
 
 func TestRunParallel(t *testing.T) {
