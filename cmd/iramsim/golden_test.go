@@ -177,6 +177,15 @@ func TestMachineFlagRejectsBadConfig(t *testing.T) {
 	if _, err := core.LoadFile(bad); err == nil {
 		t.Error("invalid machine config accepted")
 	}
+	// A D-cache line apart from the column: the column-buffer caches
+	// measure at column lines, so coherence and memsys would disagree.
+	line := filepath.Join(dir, "line.json")
+	if err := os.WriteFile(line, []byte(`{"DCacheLineBytes": 256}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadFile(line); err == nil || !strings.Contains(err.Error(), "D-cache line") {
+		t.Errorf("D-cache line != column: LoadFile err = %v, want the D-cache line check", err)
+	}
 	if _, err := core.LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing machine config accepted")
 	}

@@ -114,6 +114,7 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"no-experiments", `{}`, "no experiments"},
 		{"unknown-experiment", `{"experiments":["fig99"]}`, `unknown experiment \"fig99\"`},
 		{"bad-machine", `{"experiments":["fig7"],"machine":{"Banks":0}}`, "machine config"},
+		{"dcache-line-mismatch", `{"experiments":["fig7"],"machine":{"DCacheLineBytes":256}}`, "D-cache line"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -208,6 +208,10 @@ func (d Device) Validate() error {
 	if d.DCacheBytes != d.DCacheWays*d.DRAM.Banks*d.DRAM.ColumnBytes {
 		return fmt.Errorf("core: D-cache %d B != ways × banks × column", d.DCacheBytes)
 	}
+	if d.DCacheLineBytes != d.DRAM.ColumnBytes {
+		return fmt.Errorf("core: D-cache line %d != column %d",
+			d.DCacheLineBytes, d.DRAM.ColumnBytes)
+	}
 	// I + D column buffers per bank must match the DRAM's buffer count.
 	if want := 1 + d.DCacheWays; d.DRAM.BuffersPerBank != want {
 		return fmt.Errorf("core: %d buffers per bank, want %d (1 I + %d D)",

@@ -30,6 +30,7 @@ func TestValidateCatchesImbalance(t *testing.T) {
 		"icache size":  func(d *Device) { d.ICacheBytes = 16 << 10 },
 		"icache line":  func(d *Device) { d.ICacheLineBytes = 256 },
 		"dcache size":  func(d *Device) { d.DCacheBytes = 32 << 10 },
+		"dcache line":  func(d *Device) { d.DCacheLineBytes = 256 },
 		"buffers":      func(d *Device) { d.DRAM.BuffersPerBank = 2 },
 		"victim":       func(d *Device) { d.VictimEntries = 8 },
 		"datapath":     func(d *Device) { d.DatapathBits = 32 },

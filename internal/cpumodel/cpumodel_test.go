@@ -346,3 +346,28 @@ func TestEnsembleNoise(t *testing.T) {
 		t.Error("zero seeds accepted")
 	}
 }
+
+// BenchmarkEvaluate measures the GSPN layer as the experiments use it:
+// one Evaluate (build the net, run the Monte-Carlo simulation) of the
+// integrated 16-bank device and of the reference system with its L2, at
+// Table-4-like rates. instr/s counts simulated instructions.
+func BenchmarkEvaluate(b *testing.B) {
+	app := AppRates{
+		Name: "gcc-like", BaseCPI: 1.01,
+		LoadFrac: 0.23, StoreFrac: 0.09,
+		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
+		IL2Hit: 0.9, LoadL2Hit: 0.8, StoreL2Hit: 0.8,
+	}
+	for _, dev := range []core.Device{core.Proposed(), core.Reference()} {
+		cfg := ConfigFor(dev)
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Evaluate(cfg, app, testInstr, int64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*testInstr/b.Elapsed().Seconds(), "instr/s")
+		})
+	}
+}

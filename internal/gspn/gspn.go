@@ -24,13 +24,28 @@
 // immediate transition is enabled, the marking is vanishing and one
 // enabled immediate transition (highest priority class first, then
 // weighted-random within the class) fires without advancing time.
+//
+// The event loop is incremental: a firing costs work in proportion to
+// the places it touched, not to the size of the net. A Sim keeps one
+// enabled-set per immediate priority class, the set of scheduled timed
+// transitions, and the set of marked places, and after each firing it
+// re-checks only the transitions that read a touched place. The random
+// stream is consumed exactly as a whole-net scan would consume it: one
+// Float64 per immediate pick, summed and walked over the enabled
+// transitions of the top class in ascending id; then one ExpFloat64 per
+// newly enabled exponential transition, in ascending id. Ties between
+// timed transitions go to the lowest id. For a fixed seed every firing,
+// marking and time average is bit-identical to the whole-net reference
+// stepper the tests keep (TestRescheduleEquivalence).
 package gspn
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -87,43 +102,122 @@ type transition struct {
 
 // Net is an immutable-after-build Petri net structure. Build the net
 // with Place/Immediate/Timed/Exponential and the arc methods, then
-// create Sims from it; one Net can back many concurrent Sims.
+// create Sims from it; one Net can back many concurrent Sims. The first
+// NewSim seals the net: any later edit panics.
 type Net struct {
 	places []place
 	trans  []transition
 	sealed bool
 
-	// dep[p] lists the timed transitions whose enabling condition reads
-	// place p (an input or inhibitor arc), ascending and deduplicated.
-	// Built once on first NewSim; it lets a Sim reschedule only the
-	// transitions a firing could have affected instead of rescanning
-	// every transition per event (the dominant cost of large nets).
+	// Derived once on the first NewSim and read-only afterwards.
 	sealOnce sync.Once
-	dep      [][]TransID
+	// dep.of(p) lists the timed transitions whose enabling condition
+	// reads place p (an input or inhibitor arc), idep.of(p) the immediate
+	// ones; both ascending and deduplicated. A Sim re-checks only the
+	// transitions that read a place the last firing changed.
+	dep, idep adjacency
+	// prios holds the distinct immediate priorities, highest first, and
+	// class[t] is immediate t's index into prios (-1 for timed ones).
+	prios  []int
+	class  []int32
+	weight []float64 // per transition, dense for the settle loop
+	// maxTouched and maxAffected bound one firing's changed places and
+	// candidate timed transitions, so a Sim's scratch never grows.
+	maxTouched, maxAffected int
 }
 
-// seal freezes the net and derives the place -> dependent-timed-
-// transitions adjacency. Iterating transitions in ascending id keeps
-// every dep list ascending, which the incremental reschedule relies on
-// to sample newly enabled transitions in the same order as a full
-// scan (RNG-stream equivalence).
+// adjacency maps a place to transitions in compressed-row form: place
+// p's list is list[start[p]:start[p+1]].
+type adjacency struct {
+	start []int32
+	list  []int32
+}
+
+func (a *adjacency) of(p int32) []int32 { return a.list[a.start[p]:a.start[p+1]] }
+
+// seal freezes the net and derives the adjacencies and priority
+// classes. Iterating transitions in ascending id keeps every list
+// ascending, which the incremental reschedule relies on to sample newly
+// enabled transitions in the same order as a full scan (RNG-stream
+// equivalence).
 func (n *Net) seal() {
 	n.sealed = true
-	n.dep = make([][]TransID, len(n.places))
-	for ti := range n.trans {
-		tr := &n.trans[ti]
-		if tr.kind == Immediate {
-			continue
+	np := len(n.places)
+	n.dep.start = make([]int32, np+1)
+	n.idep.start = make([]int32, np+1)
+	// last[p] is the transition that most recently listed p, so a place
+	// read twice by one transition is listed once.
+	last := make([]int32, np)
+	reads := func(visit func(a *adjacency, p PlaceID, t int32)) {
+		for p := range last {
+			last[p] = -1
 		}
-		seen := make(map[PlaceID]bool, len(tr.in)+len(tr.inhibit))
-		for _, arcs := range [][]arc{tr.in, tr.inhibit} {
-			for _, a := range arcs {
-				if !seen[a.place] {
-					seen[a.place] = true
-					n.dep[a.place] = append(n.dep[a.place], TransID(ti))
+		for ti := range n.trans {
+			tr := &n.trans[ti]
+			a := &n.dep
+			if tr.kind == Immediate {
+				a = &n.idep
+			}
+			for _, arcs := range [2][]arc{tr.in, tr.inhibit} {
+				for _, x := range arcs {
+					if last[x.place] != int32(ti) {
+						last[x.place] = int32(ti)
+						visit(a, x.place, int32(ti))
+					}
 				}
 			}
 		}
+	}
+	// Count, prefix-sum, then fill using start[p] as p's cursor, which
+	// leaves start[p] at p's end; shifting by one restores the starts.
+	reads(func(a *adjacency, p PlaceID, _ int32) { a.start[p+1]++ })
+	for _, a := range [2]*adjacency{&n.dep, &n.idep} {
+		for p := 0; p < np; p++ {
+			a.start[p+1] += a.start[p]
+		}
+		a.list = make([]int32, a.start[np])
+	}
+	reads(func(a *adjacency, p PlaceID, t int32) {
+		a.list[a.start[p]] = t
+		a.start[p]++
+	})
+	for _, a := range [2]*adjacency{&n.dep, &n.idep} {
+		copy(a.start[1:], a.start[:np])
+		a.start[0] = 0
+	}
+
+	for ti := range n.trans {
+		if tr := &n.trans[ti]; tr.kind == Immediate && !slices.Contains(n.prios, tr.priority) {
+			n.prios = append(n.prios, tr.priority)
+		}
+	}
+	slices.Sort(n.prios)
+	slices.Reverse(n.prios)
+	n.class = make([]int32, len(n.trans))
+	n.weight = make([]float64, len(n.trans))
+	for ti := range n.trans {
+		tr := &n.trans[ti]
+		n.class[ti] = -1
+		if tr.kind == Immediate {
+			n.class[ti] = int32(slices.Index(n.prios, tr.priority))
+		}
+		n.weight[ti] = tr.weight
+		affected := 1 // the fired transition itself
+		for _, arcs := range [2][]arc{tr.in, tr.out} {
+			for _, x := range arcs {
+				affected += len(n.dep.of(int32(x.place)))
+			}
+		}
+		n.maxTouched = max(n.maxTouched, len(tr.in)+len(tr.out))
+		n.maxAffected = max(n.maxAffected, affected)
+	}
+}
+
+// mutable panics once the net is sealed: a Sim's adjacencies and
+// priority classes would silently go stale.
+func (n *Net) mutable() {
+	if n.sealed {
+		panic("gspn: net modified after NewSim")
 	}
 }
 
@@ -132,6 +226,7 @@ func NewNet() *Net { return &Net{} }
 
 // Place adds a place with an initial marking and returns its id.
 func (n *Net) Place(name string, initial int) PlaceID {
+	n.mutable()
 	if initial < 0 {
 		panic(fmt.Sprintf("gspn: place %s: negative initial marking", name))
 	}
@@ -143,6 +238,7 @@ func (n *Net) Place(name string, initial int) PlaceID {
 // among enabled immediate transitions of the same priority; priority
 // classes fire strictly highest-first.
 func (n *Net) Immediate(name string, weight float64, priority int) TransID {
+	n.mutable()
 	if weight <= 0 {
 		panic(fmt.Sprintf("gspn: transition %s: weight must be positive", name))
 	}
@@ -154,6 +250,7 @@ func (n *Net) Immediate(name string, weight float64, priority int) TransID {
 
 // Timed adds a deterministically timed transition with a fixed delay.
 func (n *Net) Timed(name string, delay float64) TransID {
+	n.mutable()
 	if delay <= 0 {
 		panic(fmt.Sprintf("gspn: transition %s: delay must be positive", name))
 	}
@@ -164,6 +261,7 @@ func (n *Net) Timed(name string, delay float64) TransID {
 // Exponential adds an exponentially timed transition with the given
 // rate (mean delay 1/rate).
 func (n *Net) Exponential(name string, rate float64) TransID {
+	n.mutable()
 	if rate <= 0 {
 		panic(fmt.Sprintf("gspn: transition %s: rate must be positive", name))
 	}
@@ -191,6 +289,7 @@ func (n *Net) Inhibit(t TransID, p PlaceID, mult int) {
 }
 
 func (n *Net) checkArc(t TransID, p PlaceID, mult int) {
+	n.mutable()
 	if int(t) < 0 || int(t) >= len(n.trans) {
 		panic("gspn: arc references unknown transition")
 	}
@@ -237,32 +336,86 @@ type Sim struct {
 	tokTime []float64 // ∫ marking dt per place
 	lastT   float64
 
-	touched  []PlaceID // places whose marking changed since last reschedule
-	affected []TransID // scratch for rescheduleAffected
-	// fullRescan forces the O(transitions) reference reschedule after
-	// every firing — the pre-adjacency behaviour, kept as the oracle the
-	// incremental path is pinned against (see TestRescheduleEquivalence).
-	fullRescan bool
+	// imm holds one enabled-bitset per immediate priority class, in
+	// Net.prios order, each words long and indexed by transition id.
+	imm    []uint64
+	words  int
+	live   idSet // timed transitions with a scheduled firing time
+	marked idSet // places holding at least one token
+
+	touched  []int32 // places whose marking changed since the last update
+	affected []int32 // scratch for update
+}
+
+// idSet is a set of small non-negative ids with O(1) insert and delete:
+// ids in no particular order, pos[id] its index there or -1.
+type idSet struct {
+	ids []int32
+	pos []int32
+}
+
+// set makes id a member or not.
+func (q *idSet) set(id int32, in bool) {
+	switch k := q.pos[id]; {
+	case in && k < 0:
+		q.pos[id] = int32(len(q.ids))
+		q.ids = append(q.ids, id)
+	case !in && k >= 0:
+		last := q.ids[len(q.ids)-1]
+		q.ids[k] = last
+		q.pos[last] = k
+		q.ids = q.ids[:len(q.ids)-1]
+		q.pos[id] = -1
+	}
+}
+
+// newIDSet carves an empty set over ids [0, n) from the front of slab
+// and returns the rest of the slab.
+func newIDSet(slab []int32, n int) (idSet, []int32) {
+	q := idSet{ids: slab[:0:n], pos: slab[n : 2*n : 2*n]}
+	for i := range q.pos {
+		q.pos[i] = -1
+	}
+	return q, slab[2*n:]
 }
 
 // NewSim creates a simulation of the net with the given random seed.
 func NewSim(n *Net, seed int64) *Sim {
 	n.sealOnce.Do(n.seal)
+	nt, np := len(n.trans), len(n.places)
+	words := (nt + 63) / 64
+	// One slab per element type holds all the per-Sim state, sized so
+	// that stepping never allocates.
+	floats := make([]float64, nt+np)
+	slab := make([]int32, 2*nt+2*np+n.maxTouched+n.maxAffected)
 	s := &Sim{
 		net:     n,
 		rng:     rand.New(rand.NewSource(seed)),
-		marking: make([]int, len(n.places)),
-		sched:   make([]float64, len(n.trans)),
-		firings: make([]int64, len(n.trans)),
-		tokTime: make([]float64, len(n.places)),
+		marking: make([]int, np),
+		sched:   floats[:nt:nt],
+		tokTime: floats[nt:],
+		firings: make([]int64, nt),
+		imm:     make([]uint64, len(n.prios)*words),
+		words:   words,
 	}
+	s.live, slab = newIDSet(slab, nt)
+	s.marked, slab = newIDSet(slab, np)
+	s.touched = slab[:0:n.maxTouched]
+	s.affected = slab[n.maxTouched:n.maxTouched]
 	for i, p := range n.places {
 		s.marking[i] = p.initial
+		s.marked.set(int32(i), p.initial != 0)
 	}
 	for i := range s.sched {
 		s.sched[i] = math.Inf(1)
 	}
-	s.reschedule()
+	for i := range n.trans {
+		if tr := &n.trans[i]; tr.kind == Immediate {
+			s.setImm(int32(i), s.enabled(TransID(i)))
+		} else {
+			s.applySchedule(TransID(i), tr)
+		}
+	}
 	return s
 }
 
@@ -299,39 +452,41 @@ func (s *Sim) enabled(t TransID) bool {
 	return true
 }
 
+// setImm records whether immediate transition t is enabled.
+func (s *Sim) setImm(t int32, en bool) {
+	w := &s.imm[int(s.net.class[t])*s.words+int(t>>6)]
+	if en {
+		*w |= 1 << (t & 63)
+	} else {
+		*w &^= 1 << (t & 63)
+	}
+}
+
 // fire consumes and produces tokens for transition t, recording the
-// places it changed for the next incremental reschedule.
+// places it changed for the next update.
 func (s *Sim) fire(t TransID) {
 	tr := &s.net.trans[t]
 	for _, a := range tr.in {
-		s.marking[a.place] -= a.mult
-		s.touched = append(s.touched, a.place)
+		s.addTokens(a.place, -a.mult)
 	}
 	for _, a := range tr.out {
-		s.marking[a.place] += a.mult
-		s.touched = append(s.touched, a.place)
+		s.addTokens(a.place, a.mult)
 	}
 	s.firings[t]++
 }
 
-// reschedule re-derives timed-transition schedules after a marking
-// change: newly enabled transitions sample a firing time, disabled ones
-// are cancelled. This is the full O(transitions) scan; the hot path
-// uses rescheduleAffected, which visits only the transitions a firing
-// could have touched and is pinned RNG-for-RNG against this one.
-func (s *Sim) reschedule() {
-	for i := range s.net.trans {
-		tr := &s.net.trans[i]
-		if tr.kind == Immediate {
-			continue
-		}
-		s.applySchedule(TransID(i), tr)
+// addTokens changes p's marking by d, keeping the marked set current.
+func (s *Sim) addTokens(p PlaceID, d int) {
+	old := s.marking[p]
+	s.marking[p] = old + d
+	if (old == 0) != (old+d == 0) {
+		s.marked.set(int32(p), old+d != 0)
 	}
+	s.touched = append(s.touched, int32(p))
 }
 
-// applySchedule is the per-transition reschedule step shared by the
-// full and incremental paths: sample when newly enabled, cancel when
-// newly disabled.
+// applySchedule re-derives one timed transition's schedule: sample a
+// firing time when newly enabled, cancel when newly disabled.
 func (s *Sim) applySchedule(t TransID, tr *transition) {
 	en := s.enabled(t)
 	switch {
@@ -339,31 +494,34 @@ func (s *Sim) applySchedule(t TransID, tr *transition) {
 		s.sched[t] = s.now + s.sample(tr)
 	case !en && !math.IsInf(s.sched[t], 1):
 		s.sched[t] = math.Inf(1)
-	}
-}
-
-// rescheduleAffected is the incremental reschedule: only transitions
-// with an input or inhibitor arc on a place the last firing changed can
-// have flipped their enabling, so only dep(touched places) — plus the
-// just-fired timed transition itself (fired >= 0), which must resample
-// even when it has no input arcs at all (a source transition is in no
-// dep list) — need revisiting. Candidates are processed in ascending
-// id order after deduplication, so the exponential transitions that
-// sample here consume the RNG stream in exactly the order the full
-// rescan would: identical firings and markings for a fixed seed.
-func (s *Sim) rescheduleAffected(fired TransID) {
-	if s.fullRescan || s.net.dep == nil {
-		s.touched = s.touched[:0]
-		s.reschedule()
+	default:
 		return
 	}
+	// A sample that overflows to +Inf leaves t unscheduled.
+	s.live.set(int32(t), !math.IsInf(s.sched[t], 1))
+}
+
+// update brings the enabled-sets and schedules up to date after a
+// firing. Only transitions with an input or inhibitor arc on a place
+// the firing changed can have flipped their enabling, so only those are
+// re-checked — plus the just-fired timed transition itself (fired >= 0),
+// which must resample even when it has no input arcs at all (a source
+// transition is in no dep list). Timed candidates are processed in
+// ascending id order after deduplication, so the exponential
+// transitions that sample here consume the RNG stream in exactly the
+// order a full rescan would.
+func (s *Sim) update(fired TransID) {
+	n := s.net
 	aff := s.affected[:0]
 	for _, p := range s.touched {
-		aff = append(aff, s.net.dep[p]...)
+		for _, t := range n.idep.of(p) {
+			s.setImm(t, s.enabled(TransID(t)))
+		}
+		aff = append(aff, n.dep.of(p)...)
 	}
 	s.touched = s.touched[:0]
-	if fired >= 0 && s.net.trans[fired].kind != Immediate {
-		aff = append(aff, fired)
+	if fired >= 0 {
+		aff = append(aff, int32(fired))
 	}
 	// Insertion sort: the affected sets of the cpumodel nets are a
 	// handful of entries, and sort.Slice would allocate its closure on
@@ -373,15 +531,13 @@ func (s *Sim) rescheduleAffected(fired TransID) {
 			aff[j], aff[j-1] = aff[j-1], aff[j]
 		}
 	}
-	prev := TransID(-1)
+	prev := int32(-1)
 	for _, t := range aff {
-		if t == prev {
-			continue
+		if t != prev {
+			prev = t
+			s.applySchedule(TransID(t), &n.trans[t])
 		}
-		prev = t
-		s.applySchedule(t, &s.net.trans[t])
 	}
-	s.affected = aff[:0]
 }
 
 func (s *Sim) sample(tr *transition) float64 {
@@ -391,74 +547,82 @@ func (s *Sim) sample(tr *transition) float64 {
 	return s.rng.ExpFloat64() / tr.rate
 }
 
+// topClass returns the enabled-bitset of the highest priority class
+// with an enabled transition, or nil in a tangible marking.
+func (s *Sim) topClass() []uint64 {
+	for c := 0; c < len(s.imm); c += s.words {
+		set := s.imm[c : c+s.words]
+		for _, w := range set {
+			if w != 0 {
+				return set
+			}
+		}
+	}
+	return nil
+}
+
 // settleImmediates fires enabled immediate transitions until none is
-// enabled (reaching a tangible marking).
+// enabled (reaching a tangible marking). Each pick sums the top class's
+// weights and walks its members in ascending id; if rounding leaves the
+// walk short, nothing fires and the next iteration draws again.
 func (s *Sim) settleImmediates() error {
+	weight := s.net.weight
 	for iter := 0; ; iter++ {
 		if iter >= maxImmediateChain {
 			return ErrLivelock
 		}
-		// Find the highest priority class with an enabled transition.
-		bestPrio := math.MinInt64
+		set := s.topClass()
+		if set == nil {
+			return nil
+		}
 		var totalW float64
-		for i := range s.net.trans {
-			tr := &s.net.trans[i]
-			if tr.kind != Immediate || !s.enabled(TransID(i)) {
-				continue
-			}
-			if tr.priority > bestPrio {
-				bestPrio = tr.priority
-				totalW = 0
-			}
-			if tr.priority == bestPrio {
-				totalW += tr.weight
+		for i, w := range set {
+			for ; w != 0; w &= w - 1 {
+				totalW += weight[i<<6|bits.TrailingZeros64(w)]
 			}
 		}
-		if totalW == 0 {
-			return nil // tangible marking
-		}
-		// Weighted-random selection within the class.
 		pick := s.rng.Float64() * totalW
-		for i := range s.net.trans {
-			tr := &s.net.trans[i]
-			if tr.kind != Immediate || tr.priority != bestPrio || !s.enabled(TransID(i)) {
-				continue
-			}
-			pick -= tr.weight
-			if pick <= 0 {
-				s.fire(TransID(i))
-				break
+	walk:
+		for i, w := range set {
+			for ; w != 0; w &= w - 1 {
+				t := i<<6 | bits.TrailingZeros64(w)
+				if pick -= weight[t]; pick <= 0 {
+					s.fire(TransID(t))
+					s.update(-1)
+					break walk
+				}
 			}
 		}
-		s.rescheduleAffected(-1)
 	}
 }
 
-// accrue integrates token-time up to time t.
+// accrue integrates token-time up to time t. Unmarked places would
+// only add 0·dt, so only marked ones are visited.
 func (s *Sim) accrue(t float64) {
 	dt := t - s.lastT
 	if dt <= 0 {
 		return
 	}
-	for i, m := range s.marking {
-		s.tokTime[i] += float64(m) * dt
+	for _, p := range s.marked.ids {
+		s.tokTime[p] += float64(s.marking[p]) * dt
 	}
 	s.lastT = t
 }
 
 // Step advances the simulation by one tangible event: it settles
 // immediate transitions, then fires the earliest scheduled timed
-// transition. It returns ErrDeadlock when nothing can fire.
+// transition, the lowest id on a tie. It returns ErrDeadlock when
+// nothing can fire.
 func (s *Sim) Step() error {
 	if err := s.settleImmediates(); err != nil {
 		return err
 	}
-	best := -1
+	best := int32(-1)
 	bestT := math.Inf(1)
-	for i, at := range s.sched {
-		if at < bestT {
+	for _, t := range s.live.ids {
+		if at := s.sched[t]; at < bestT || (at == bestT && t < best) {
 			bestT = at
-			best = i
+			best = t
 		}
 	}
 	if best < 0 {
@@ -467,8 +631,9 @@ func (s *Sim) Step() error {
 	s.accrue(bestT)
 	s.now = bestT
 	s.sched[best] = math.Inf(1)
+	s.live.set(best, false)
 	s.fire(TransID(best))
-	s.rescheduleAffected(TransID(best))
+	s.update(TransID(best))
 	// Settle any immediates enabled by the firing so observers always
 	// see tangible markings.
 	return s.settleImmediates()

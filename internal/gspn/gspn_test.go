@@ -3,6 +3,7 @@ package gspn
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -330,6 +331,28 @@ func TestBuilderPanics(t *testing.T) {
 			n.In(tr, p, 0)
 		},
 	}
+	// Every edit after NewSim panics: the Sim's adjacencies and priority
+	// classes were derived from the net as it stood.
+	sealed := func(edit func(n *Net, p PlaceID, tr TransID)) func() {
+		return func() {
+			n := NewNet()
+			p := n.Place("p", 1)
+			tr := n.Timed("t", 1)
+			n.In(tr, p, 1)
+			n.Out(tr, p, 1)
+			NewSim(n, 1)
+			edit(n, p, tr)
+		}
+	}
+	cases = append(cases,
+		sealed(func(n *Net, _ PlaceID, _ TransID) { n.Place("q", 0) }),
+		sealed(func(n *Net, _ PlaceID, _ TransID) { n.Immediate("i", 1, 0) }),
+		sealed(func(n *Net, _ PlaceID, _ TransID) { n.Timed("d", 1) }),
+		sealed(func(n *Net, _ PlaceID, _ TransID) { n.Exponential("e", 1) }),
+		sealed(func(n *Net, p PlaceID, tr TransID) { n.In(tr, p, 1) }),
+		sealed(func(n *Net, p PlaceID, tr TransID) { n.Out(tr, p, 1) }),
+		sealed(func(n *Net, p PlaceID, tr TransID) { n.Inhibit(tr, p, 2) }),
+	)
 	for i, f := range cases {
 		func() {
 			defer func() {
@@ -383,43 +406,309 @@ func buildMixedNet() *Net {
 	return n
 }
 
-// TestRescheduleEquivalence pins the incremental (adjacency-driven)
-// reschedule against the full-rescan reference path: for a fixed seed
-// the two must produce identical firing counts, markings, and clocks
-// at every step — the exponential samples must consume the shared RNG
-// stream in exactly the same order.
-func TestRescheduleEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		fast := NewSim(buildMixedNet(), seed)
-		ref := NewSim(buildMixedNet(), seed)
-		ref.fullRescan = true
-		for step := 0; step < 2000; step++ {
-			errFast, errRef := fast.Step(), ref.Step()
-			if (errFast == nil) != (errRef == nil) {
-				t.Fatalf("seed %d step %d: incremental err=%v, full-rescan err=%v",
-					seed, step, errFast, errRef)
+// buildBankNet is a synthetic memory-bank net in the shape of the
+// cpumodel nets but wider: three immediate priority classes, more than
+// 64 transitions (so every enabled-set spans several words), equal
+// deterministic delays (so timed transitions tie and the lowest id must
+// win), an inhibitor on each bank's queue, and an exponential stall
+// that samples from the RNG between immediate picks.
+func buildBankNet(banks int) *Net {
+	n := NewNet()
+	cpu := n.Place("cpu", 1)
+	decide := n.Place("decide", 0)
+	req := n.Place("req", 0)
+	out := n.Place("outstanding", 0)
+	stalled := n.Place("stalled", 0)
+	done := n.Place("done", 0)
+
+	issue := n.Timed("issue", 1)
+	n.In(issue, cpu, 1)
+	n.Out(issue, decide, 1)
+	hit := n.Immediate("hit", 3, 0)
+	n.In(hit, decide, 1)
+	n.Out(hit, cpu, 1)
+	miss := n.Immediate("miss", 1, 0)
+	n.In(miss, decide, 1)
+	n.Out(miss, cpu, 1)
+	n.Out(miss, req, 1)
+	n.Out(miss, out, 1)
+
+	for b := 0; b < banks; b++ {
+		q := n.Place("q", 0)
+		svc := n.Place("svc", 0)
+		pre := n.Place("pre", 0)
+		free := n.Place("free", 1)
+		sel := n.Immediate("sel", 1, 0)
+		n.In(sel, req, 1)
+		n.Out(sel, q, 1)
+		n.Inhibit(sel, q, 3)
+		start := n.Immediate("start", 1, 1)
+		n.In(start, q, 1)
+		n.In(start, free, 1)
+		n.Out(start, svc, 1)
+		acc := n.Timed("acc", 6)
+		n.In(acc, svc, 1)
+		n.Out(acc, pre, 1)
+		n.Out(acc, done, 1)
+		recharge := n.Timed("precharge", 2)
+		n.In(recharge, pre, 1)
+		n.Out(recharge, free, 1)
+	}
+
+	stall := n.Exponential("stall", 0.5)
+	n.In(stall, cpu, 1)
+	n.In(stall, out, 1)
+	n.Out(stall, stalled, 1)
+	n.Out(stall, out, 1)
+	resume := n.Immediate("resume", 1, 2)
+	n.In(resume, stalled, 1)
+	n.In(resume, done, 1)
+	n.In(resume, out, 1)
+	n.Out(resume, cpu, 1)
+	retire := n.Immediate("retire", 2, 1)
+	n.In(retire, done, 1)
+	n.In(retire, out, 1)
+	return n
+}
+
+// testNets are the nets the equivalence test and the Step benchmarks run.
+var testNets = []struct {
+	name  string
+	build func() *Net
+}{
+	{"mixed", buildMixedNet},
+	{"banks", func() *Net { return buildBankNet(24) }},
+}
+
+// refSim is the whole-net reference stepper: the event loop as it stood
+// before it went incremental. Every settle iteration scans every
+// transition for the top enabled priority class, every firing
+// reschedules every timed transition, Step takes a linear minimum over
+// all schedules, and accrual visits every place.
+type refSim struct {
+	net        *Net
+	rng        *rand.Rand
+	marking    []int
+	sched      []float64
+	firings    []int64
+	tokTime    []float64
+	now, lastT float64
+}
+
+func newRefSim(n *Net, seed int64) *refSim {
+	r := &refSim{
+		net:     n,
+		rng:     rand.New(rand.NewSource(seed)),
+		marking: make([]int, len(n.places)),
+		sched:   make([]float64, len(n.trans)),
+		firings: make([]int64, len(n.trans)),
+		tokTime: make([]float64, len(n.places)),
+	}
+	for i, p := range n.places {
+		r.marking[i] = p.initial
+	}
+	for i := range r.sched {
+		r.sched[i] = math.Inf(1)
+	}
+	r.reschedule()
+	return r
+}
+
+func (r *refSim) enabled(t int) bool {
+	tr := &r.net.trans[t]
+	for _, a := range tr.in {
+		if r.marking[a.place] < a.mult {
+			return false
+		}
+	}
+	for _, a := range tr.inhibit {
+		if r.marking[a.place] >= a.mult {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refSim) fire(t int) {
+	tr := &r.net.trans[t]
+	for _, a := range tr.in {
+		r.marking[a.place] -= a.mult
+	}
+	for _, a := range tr.out {
+		r.marking[a.place] += a.mult
+	}
+	r.firings[t]++
+}
+
+func (r *refSim) reschedule() {
+	for i := range r.net.trans {
+		tr := &r.net.trans[i]
+		if tr.kind == Immediate {
+			continue
+		}
+		en := r.enabled(i)
+		switch {
+		case en && math.IsInf(r.sched[i], 1):
+			if tr.kind == Deterministic {
+				r.sched[i] = r.now + tr.delay
+			} else {
+				r.sched[i] = r.now + r.rng.ExpFloat64()/tr.rate
 			}
-			if errFast != nil {
+		case !en && !math.IsInf(r.sched[i], 1):
+			r.sched[i] = math.Inf(1)
+		}
+	}
+}
+
+func (r *refSim) settle() error {
+	for iter := 0; ; iter++ {
+		if iter >= maxImmediateChain {
+			return ErrLivelock
+		}
+		bestPrio := math.MinInt64
+		var totalW float64
+		for i := range r.net.trans {
+			tr := &r.net.trans[i]
+			if tr.kind != Immediate || !r.enabled(i) {
+				continue
+			}
+			if tr.priority > bestPrio {
+				bestPrio = tr.priority
+				totalW = 0
+			}
+			if tr.priority == bestPrio {
+				totalW += tr.weight
+			}
+		}
+		if totalW == 0 {
+			return nil
+		}
+		pick := r.rng.Float64() * totalW
+		for i := range r.net.trans {
+			tr := &r.net.trans[i]
+			if tr.kind != Immediate || tr.priority != bestPrio || !r.enabled(i) {
+				continue
+			}
+			pick -= tr.weight
+			if pick <= 0 {
+				r.fire(i)
 				break
 			}
-			if fast.Now() != ref.Now() {
-				t.Fatalf("seed %d step %d: clock %v != %v", seed, step, fast.Now(), ref.Now())
-			}
-			for i := 0; i < fast.net.NumTrans(); i++ {
-				if fast.Firings(TransID(i)) != ref.Firings(TransID(i)) {
-					t.Fatalf("seed %d step %d: firings(%s) %d != %d", seed, step,
-						fast.net.TransName(TransID(i)),
-						fast.Firings(TransID(i)), ref.Firings(TransID(i)))
+		}
+		r.reschedule()
+	}
+}
+
+func (r *refSim) Step() error {
+	if err := r.settle(); err != nil {
+		return err
+	}
+	best := -1
+	bestT := math.Inf(1)
+	for i, at := range r.sched {
+		if at < bestT {
+			bestT = at
+			best = i
+		}
+	}
+	if best < 0 {
+		return ErrDeadlock
+	}
+	if dt := bestT - r.lastT; dt > 0 {
+		for i, m := range r.marking {
+			r.tokTime[i] += float64(m) * dt
+		}
+		r.lastT = bestT
+	}
+	r.now = bestT
+	r.sched[best] = math.Inf(1)
+	r.fire(best)
+	r.reschedule()
+	return r.settle()
+}
+
+func (r *refSim) timeAvgTokens(p int) float64 {
+	if r.now == 0 {
+		return float64(r.marking[p])
+	}
+	return r.tokTime[p] / r.now
+}
+
+// TestRescheduleEquivalence pins the incremental event loop against the
+// whole-net reference stepper: for a fixed seed the two must agree
+// bit-for-bit on the clock, every firing count, every marking and every
+// time-averaged marking after every step — so the immediate picks and
+// exponential samples consume the shared RNG stream in exactly the same
+// order, timed ties resolve alike, and skipping unmarked places in the
+// accrual changes no sum.
+func TestRescheduleEquivalence(t *testing.T) {
+	for _, nc := range testNets {
+		for seed := int64(1); seed <= 5; seed++ {
+			n := nc.build()
+			fast := NewSim(n, seed)
+			ref := newRefSim(n, seed)
+			for step := 0; step < 2000; step++ {
+				errFast, errRef := fast.Step(), ref.Step()
+				if !errors.Is(errFast, errRef) {
+					t.Fatalf("%s seed %d step %d: incremental err=%v, reference err=%v",
+						nc.name, seed, step, errFast, errRef)
 				}
-			}
-			for i := 0; i < fast.net.NumPlaces(); i++ {
-				if fast.Marking(PlaceID(i)) != ref.Marking(PlaceID(i)) {
-					t.Fatalf("seed %d step %d: marking(%s) %d != %d", seed, step,
-						fast.net.PlaceName(PlaceID(i)),
-						fast.Marking(PlaceID(i)), ref.Marking(PlaceID(i)))
+				if errFast != nil {
+					break
+				}
+				if fast.Now() != ref.now {
+					t.Fatalf("%s seed %d step %d: clock %v != %v", nc.name, seed, step, fast.Now(), ref.now)
+				}
+				for i := 0; i < n.NumTrans(); i++ {
+					if fast.Firings(TransID(i)) != ref.firings[i] {
+						t.Fatalf("%s seed %d step %d: firings(%s) %d != %d", nc.name, seed, step,
+							n.TransName(TransID(i)), fast.Firings(TransID(i)), ref.firings[i])
+					}
+				}
+				for i := 0; i < n.NumPlaces(); i++ {
+					if fast.Marking(PlaceID(i)) != ref.marking[i] {
+						t.Fatalf("%s seed %d step %d: marking(%s) %d != %d", nc.name, seed, step,
+							n.PlaceName(PlaceID(i)), fast.Marking(PlaceID(i)), ref.marking[i])
+					}
+					got, want := fast.TimeAvgTokens(PlaceID(i)), ref.timeAvgTokens(i)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s seed %d step %d: TimeAvgTokens(%s) %v != %v", nc.name, seed, step,
+							n.PlaceName(PlaceID(i)), got, want)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestBankNetShape keeps buildBankNet exercising what it claims to.
+func TestBankNetShape(t *testing.T) {
+	n := buildBankNet(24)
+	NewSim(n, 1)
+	if n.NumTrans() <= 64 {
+		t.Errorf("bank net has %d transitions, want > 64", n.NumTrans())
+	}
+	if len(n.prios) != 3 {
+		t.Errorf("bank net has %d priority classes, want 3", len(n.prios))
+	}
+}
+
+// TestStepZeroAllocs: once running, Step allocates nothing — all
+// per-Sim state is sized in NewSim.
+func TestStepZeroAllocs(t *testing.T) {
+	s := NewSim(buildBankNet(24), 1)
+	for i := 0; i < 1000; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -452,29 +741,51 @@ func TestSharedNetConcurrentSims(t *testing.T) {
 	}
 }
 
-// BenchmarkSimStep measures the per-event cost of the simulator loop
-// with the incremental reschedule (the default path).
-func BenchmarkSimStep(b *testing.B) {
-	s := NewSim(buildMixedNet(), 1)
+// stepper is what the Step benchmarks drive: the incremental Sim or the
+// whole-net reference stepper.
+type stepper interface{ Step() error }
+
+// benchSteps times b.N steps and reports transition firings per second.
+func benchSteps(b *testing.B, s stepper, firings func() int64) {
 	b.ReportAllocs()
+	before := firings()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(firings()-before)/b.Elapsed().Seconds(), "firings/s")
 }
 
-// BenchmarkSimStepFullRescan is the same loop on the full-rescan
-// reference path, so the adjacency win is visible in one bench diff.
+// BenchmarkSimStep measures the per-event cost of the incremental event
+// loop.
+func BenchmarkSimStep(b *testing.B) {
+	for _, nc := range testNets {
+		b.Run(nc.name, func(b *testing.B) {
+			s := NewSim(nc.build(), 1)
+			benchSteps(b, s, func() (sum int64) {
+				for _, f := range s.firings {
+					sum += f
+				}
+				return sum
+			})
+		})
+	}
+}
+
+// BenchmarkSimStepFullRescan is the same loop on the whole-net reference
+// stepper, so the incremental win is visible in one bench diff.
 func BenchmarkSimStepFullRescan(b *testing.B) {
-	s := NewSim(buildMixedNet(), 1)
-	s.fullRescan = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
+	for _, nc := range testNets {
+		b.Run(nc.name, func(b *testing.B) {
+			r := newRefSim(nc.build(), 1)
+			benchSteps(b, r, func() (sum int64) {
+				for _, f := range r.firings {
+					sum += f
+				}
+				return sum
+			})
+		})
 	}
 }
