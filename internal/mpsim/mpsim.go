@@ -1,6 +1,14 @@
+//go:build go1.23
+
+// iter.Pull needs Go 1.23 while go.mod stays at go 1.22: the nested
+// perfbench module declares the same line, and raising only this one
+// breaks its build. The constraint raises this file's language version
+// so that go vet accepts iter.Pull; the two go lines should move to
+// 1.23 together, and this constraint go with them.
+
 // Package mpsim is an execution-driven multiprocessor simulator in the
 // style of the CacheMire Test Bench used by the paper (Section 6.1):
-// the parallel workloads really execute (as Go code, one goroutine per
+// the parallel workloads really execute (as Go code, one coroutine per
 // simulated processor), and every shared-memory reference is routed
 // through an architecture timing model that delays the issuing
 // processor by the appropriate latency.
@@ -8,43 +16,40 @@
 // Timing model: each processor has a virtual clock. Memory operations
 // are admitted in global virtual-time order (a conservative
 // discrete-event scheme): no operation is serviced until every
-// runnable processor has posted its next one, and the operation with
+// released processor has posted its next one, and the operation with
 // the smallest timestamp (ties broken by processor id) goes first —
-// which makes simulations deterministic regardless of goroutine
-// scheduling. Locks and barriers are modelled in the same admission
-// step with round-trip costs on the scale of the paper's remote
-// operations.
+// which makes simulations deterministic regardless of host scheduling.
+// Locks and barriers are modelled in the same admission step with
+// round-trip costs on the scale of the paper's remote operations.
 //
-// Admission structure: there is no dedicated coordinator goroutine,
-// and the hot path is allocation-free. Posted operations live in
-// per-processor preallocated slots and a binary min-heap keyed by
-// (virtual time, processor id); the last runnable processor to post
-// becomes the driver, serving heap-minimum operations inline under a
-// mutex and waking the released processor directly over its reusable
-// one-token channel — one goroutine handoff per admitted operation,
-// and none at all when the driver releases itself. When a serve step
-// leaves exactly one processor runnable, that processor is also handed
-// an admission horizon (the (time, id) key of the earliest other
-// posted operation) and services its own operations inline — no
-// mutex, no channel — until its clock reaches the horizon; this makes
-// single-processor runs and serialised phases of multiprocessor runs
-// handoff-free while preserving the exact global service order.
+// Admission structure: each body runs as an iter.Pull coroutine whose
+// yield means "posted an operation". One driver loop in Run resumes
+// released processors in release order and, once none is left to
+// post, serves the minimum of a (virtual time, processor id) heap;
+// serving an operation releases its processor (or, for locks and
+// barriers, whichever processors the operation unblocks). A body whose
+// operation is below the heap minimum while no other released body is
+// still to post serves it inline through the same serve step, and
+// keeps running without a coroutine switch when that step released
+// only itself — so single-processor runs and serialised phases of
+// multiprocessor runs cost no switch per operation, and the global
+// service order is exactly the one the driver would have produced.
+// Posted operations live in per-processor preallocated slots, so the
+// hot path is allocation-free.
 //
-// Concurrency invariant: although each simulated processor is a real
-// goroutine, a workload body only executes between its grant and its
-// next post, and grants are only issued by the driver once all
-// previously released bodies have posted. Workload code may therefore
+// Concurrency invariant: exactly one body or the driver executes at a
+// time, by construction — coroutine switches are the only handoff,
+// also after lock handoffs and barrier releases, which resume the
+// released bodies one after another. Workload code may therefore
 // update shared host-side data (matrices, particle arrays) without
-// additional locking; all updates are totally ordered through the
-// admission mutex and the per-processor grant channels.
+// additional locking.
 package mpsim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"iter"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -77,20 +82,14 @@ func DefaultSyncCosts() SyncCosts {
 }
 
 // Proc is a simulated processor handle passed to workload bodies.
-// All methods must be called only from the body's own goroutine.
+// All methods must be called only from the body's own coroutine.
 type Proc struct {
 	ID int
 	N  int // total processors
 
 	sim     *sim
 	pending uint64 // accumulated compute cycles not yet posted
-
-	// Per-proc await outcome counters. await runs outside the admission
-	// mutex, so these must be goroutine-local; Run sums them after the
-	// pool joins.
-	awaitImmediate int64
-	awaitSpins     int64
-	awaitParks     int64
+	yield   func(struct{}) bool
 }
 
 // Read issues a shared-memory load.
@@ -129,10 +128,8 @@ const (
 )
 
 // request is one posted operation. Each processor owns one slot in
-// sim.slots for its lifetime: the body goroutine fills the slot while
-// posting (under the admission mutex), and the slot is only read by
-// whichever driver serves the operation — so no request is ever copied
-// or heap-allocated per operation.
+// sim.slots for its lifetime, so no request is ever copied or
+// heap-allocated per operation.
 type request struct {
 	kind   opKind
 	write  bool
@@ -140,98 +137,38 @@ type request struct {
 	lockID int
 }
 
+// errStopped is raised in a body whose coroutine Run stops while
+// unwinding a panic; Run's cleanup recovers it.
+var errStopped = errors.New("mpsim: processor stopped")
+
+// op posts one operation. When nothing can still post an earlier one
+// it is served inline, and the body keeps running if that released
+// only itself; otherwise the body suspends until the driver resumes it
+// with the operation served.
 func (p *Proc) op(kind opKind, addr uint64, write bool, lockID int) {
 	s := p.sim
-	if s.fast[p.ID].ok && p.selfServe(kind, addr, write, lockID) {
-		return
-	}
 	pid := int32(p.ID)
-	s.mu.Lock()
-	slot := &s.slots[pid]
-	slot.kind = kind
-	slot.addr = addr
-	slot.write = write
-	slot.lockID = lockID
+	s.slots[pid] = request{kind: kind, write: write, addr: addr, lockID: lockID}
 	s.time[pid] += p.pending
 	p.pending = 0
-	s.push(pid)
-	s.running--
-	if s.running == 0 {
-		// Last runnable body to post: this goroutine becomes the driver
-		// and serves posted operations in (time, id) order until it
-		// grants somebody — possibly itself, in which case await
-		// consumes the gate without parking.
-		s.drive()
+	if len(s.ready) == 0 && (len(s.heap) == 0 || s.less(pid, s.heap[0])) {
+		s.serve(pid)
+		if len(s.ready) == 1 && s.ready[0] == pid {
+			s.ready = s.ready[:0]
+			if kind != opDone {
+				s.coord.SelfServes++
+			}
+			return
+		}
+	} else {
+		s.push(pid)
 	}
-	// Spin for the grant only when it looked imminent at post time:
-	// this processor's own operation leads the admission heap, so the
-	// next driver pass serves it first.
-	spin := len(s.heap) > 0 && s.heap[0] == pid
-	s.mu.Unlock()
-	p.await(spin)
-}
-
-// selfServe runs one operation inline in the processor's own
-// goroutine, without a coordinator round trip. It is only entered when
-// the last grant carried self-serve rights (this proc was the sole
-// runnable processor, so it owns the coordinator state exclusively
-// until its next post), and it only serves operations strictly below
-// the admission horizon — the (time, id) key of the earliest other
-// posted operation — so the global service order is exactly what the
-// coordinator would have produced. Operations it cannot serve
-// (synchronisation handoffs, anything at or past the horizon) return
-// false and take the normal posted path.
-func (p *Proc) selfServe(kind opKind, addr uint64, write bool, lockID int) bool {
-	s := p.sim
-	pid := int32(p.ID)
-	h := &s.fast[p.ID]
-	t := s.time[p.ID] + p.pending
-	if t > h.time || (t == h.time && pid >= h.id) {
-		return false
+	if kind != opDone {
+		s.coord.AwaitParks++
 	}
-	switch kind {
-	case opAccess:
-		p.pending = 0
-		var lat uint64
-		if s.tmem != nil {
-			lat = s.tmem.AccessAt(p.ID, addr, write, t)
-		} else {
-			lat = s.mem.Access(p.ID, addr, write)
-		}
-		s.time[p.ID] = t + lat
-		s.accesses++
-		s.selfServes++ // owner-exclusive: plain increment is race-free
-		return true
-	case opLock:
-		l := s.lock(lockID)
-		if l.held {
-			return false // will block: the coordinator parks it
-		}
-		p.pending = 0
-		s.lockOps++
-		s.selfServes++
-		l.held = true
-		l.owner = pid
-		if l.lastFree > t {
-			t = l.lastFree
-		}
-		s.time[p.ID] = t + s.costs.LockAcquire
-		return true
-	case opUnlock:
-		l := s.lock(lockID)
-		if !l.held || l.owner != pid || len(l.waiters) > 0 {
-			// Handoffs (and misuse panics) go through the coordinator.
-			return false
-		}
-		p.pending = 0
-		s.lockOps++
-		s.selfServes++
-		s.time[p.ID] = t
-		l.lastFree = t
-		l.held = false
-		return true
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
 	}
-	return false // barriers and done always post
 }
 
 // Result summarises one simulation run.
@@ -246,21 +183,17 @@ type Result struct {
 }
 
 // CoordStats is the admission machinery's own accounting: how
-// operations were served (inline under self-serve rights vs. through
-// the posted path), how grants were delivered (consumed at the spin
-// gate vs. a goroutine park on the reply channel), and how deep the
-// admission heap got. It is bookkeeping about the simulator, not the
-// simulated machine, and costs plain field increments already under
-// the admission mutex (or goroutine-local, for await outcomes).
+// operations were served (inline by a body that kept running vs. one
+// that suspended), how often the driver resumed a body, and how deep
+// the admission heap got. It is bookkeeping about the simulator, not
+// the simulated machine; every field is deterministic.
+// SelfServes + AwaitParks counts every access, lock operation and
+// barrier arrival exactly once.
 type CoordStats struct {
-	SelfServes     int64 // operations served inline, no mutex, no handoff
-	Grants         int64 // grants issued through the posted path
-	GateWakes      int64 // grants delivered via the spin gate CAS
-	ChannelWakes   int64 // grants delivered via the park channel
-	AwaitImmediate int64 // grant already pending when the waiter arrived
-	AwaitSpins     int64 // grant consumed during (or right after) the spin loop
-	AwaitParks     int64 // waiter parked on the reply channel
-	MaxHeapDepth   int   // admission heap high-water mark
+	SelfServes   int64 // operations served inline while the body kept running
+	Grants       int64 // bodies the driver resumed after serving their operation
+	AwaitParks   int64 // operations on which the body suspended
+	MaxHeapDepth int   // admission heap high-water mark
 }
 
 // Publish adds the coordinator accounting to reg's "mpsim" family
@@ -272,27 +205,8 @@ func (c CoordStats) Publish(reg *obs.Registry) {
 	}
 	reg.Counter("mpsim", "self_serves").Add(c.SelfServes)
 	reg.Counter("mpsim", "grants").Add(c.Grants)
-	reg.Counter("mpsim", "gate_wakes").Add(c.GateWakes)
-	reg.Counter("mpsim", "channel_wakes").Add(c.ChannelWakes)
-	reg.Counter("mpsim", "await_immediate").Add(c.AwaitImmediate)
-	reg.Counter("mpsim", "await_spins").Add(c.AwaitSpins)
 	reg.Counter("mpsim", "await_parks").Add(c.AwaitParks)
 	reg.Gauge("mpsim", "heap_depth_max").SetMax(int64(c.MaxHeapDepth))
-}
-
-// Deterministic returns a copy with the wake-delivery accounting
-// (gate vs. channel split, immediate/spin/park await outcomes) zeroed.
-// Those fields depend on host goroutine scheduling by design: what is
-// granted, and at which virtual time, never varies, but which doorbell
-// delivers a grant does. Determinism tests compare Results after
-// applying this; SelfServes, Grants, and MaxHeapDepth stay exact.
-func (c CoordStats) Deterministic() CoordStats {
-	c.GateWakes = 0
-	c.ChannelWakes = 0
-	c.AwaitImmediate = 0
-	c.AwaitSpins = 0
-	c.AwaitParks = 0
-	return c
 }
 
 // Imbalance returns the load imbalance: max finish time over mean
@@ -313,113 +227,26 @@ func (r Result) Imbalance() float64 {
 	return float64(r.Cycles) / mean
 }
 
-// sim is the coordinator state.
+// sim is the coordinator state. Only one body or the driver runs at a
+// time, so it needs no synchronisation.
 type sim struct {
 	mem   Memory
 	tmem  TimedMemory // non-nil when mem implements TimedMemory
 	costs SyncCosts
-	n     int
 
-	mu    sync.Mutex      // admission mutex: guards all fields below
-	gates []gate          // per-proc spin-then-park grant gates
-	reply []chan struct{} // per-proc park channels, used when a spin misses
-	slots []request       // per-proc posted-operation slots
-
-	time    []uint64
-	heap    []int32 // min-heap of posted procs keyed by (time, proc id)
-	running int     // bodies currently executing (granted, post not yet arrived)
-	alive   int     // procs that have not finished
+	slots []request // per-proc posted-operation slots
+	time  []uint64
+	heap  []int32 // min-heap of posted procs keyed by (time, proc id)
+	ready []int32 // released procs not yet resumed, in release order
+	alive int     // procs that have not finished
 
 	locks []lockState // keyed by lock id
 	bar   barrierState
 
-	fast []horizon // per-proc self-serve rights, written before a grant
-
 	accesses int64
 	lockOps  int64
 	barriers int64
-
-	// Coordinator accounting (see CoordStats). All written under s.mu
-	// except the per-proc await outcomes, which live on each Proc.
-	selfServes int64
-	grants     int64
-	gateWakes  int64
-	chanWakes  int64
-	maxHeap    int
-}
-
-// horizon is a processor's self-serve admission bound: the (time, id)
-// key of the earliest operation posted by any other processor at grant
-// time. The driver writes it immediately before granting the
-// processor, and only that processor reads it (synchronised by the
-// grant gate), so there is never a concurrent access.
-type horizon struct {
-	time uint64
-	id   int32
-	ok   bool
-}
-
-// gate is a one-shot grant flag between the driver and a waiting
-// processor, padded to a cache line so spinning waiters do not false-
-// share. States: 0 no grant pending, 1 granted, 2 waiter parked on the
-// reply channel. A waiter whose grant is likely imminent (its
-// operation is at the top of the admission heap) spins on the gate and
-// usually consumes the grant without a goroutine park/wake at all; the
-// channel is the fallback. The atomic gate transfers state ownership:
-// the driver's writes under the mutex happen-before the waiter's
-// successful CAS of 1→0.
-type gate struct {
-	v atomic.Uint32
-	_ [15]uint32
-}
-
-// spinIters bounds the gate spin. The mid-spin Gosched keeps
-// GOMAXPROCS=1 runs cheap: it yields to the driver, which posts the
-// grant, and the resumed spinner consumes it without a park.
-const spinIters = 1536
-
-// await consumes this processor's next grant: first the fast gate
-// (optionally spinning when the grant looked imminent at post time),
-// then the park channel.
-func (p *Proc) await(spin bool) {
-	g := &p.sim.gates[p.ID].v
-	if g.CompareAndSwap(1, 0) {
-		p.awaitImmediate++
-		return
-	}
-	if spin {
-		for i := 0; i < spinIters; i++ {
-			if g.Load() == 1 && g.CompareAndSwap(1, 0) {
-				p.awaitSpins++
-				return
-			}
-			if i == 512 {
-				runtime.Gosched()
-			}
-		}
-	}
-	if g.CompareAndSwap(0, 2) {
-		<-p.sim.reply[p.ID] // driver saw the parked state and sent a token
-		p.awaitParks++
-		return
-	}
-	// The grant landed between the spin and the CAS: consumed without a
-	// park, so it counts as a spin outcome.
-	g.Store(0)
-	p.awaitSpins++
-}
-
-// wake delivers a grant to pid: through the gate if the waiter is
-// still spinning (or has not reached await yet), through the channel
-// if it already parked.
-func (s *sim) wake(pid int32) {
-	if !s.gates[pid].v.CompareAndSwap(0, 1) {
-		s.gates[pid].v.Store(0)
-		s.chanWakes++ // wake always runs under s.mu
-		s.reply[pid] <- struct{}{}
-		return
-	}
-	s.gateWakes++
+	coord    CoordStats
 }
 
 type lockState struct {
@@ -435,7 +262,11 @@ type barrierState struct {
 }
 
 // Run executes body on n simulated processors over the memory model.
-// It returns when every body has finished.
+// It returns when every body has finished. A panic in a body, a
+// deadlock, or lock misuse is re-raised to the caller after every
+// other body's coroutine has been stopped; iter.Pull re-raises a
+// body's panic from the driver, so its stack is the driver's, not the
+// body's.
 func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 	if n < 1 {
 		panic("mpsim: need at least one processor")
@@ -443,97 +274,55 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 	s := &sim{
 		mem:   mem,
 		costs: costs,
-		n:     n,
-		gates: make([]gate, n),
-		reply: make([]chan struct{}, n),
 		slots: make([]request, n),
 		time:  make([]uint64, n),
 		heap:  make([]int32, 0, n),
-		fast:  make([]horizon, n),
+		ready: make([]int32, 0, n),
 		bar:   barrierState{waiting: make([]int32, 0, n)},
-
-		running: n,
-		alive:   n,
+		alive: n,
+		// The first resume of each body starts it; it is no grant.
+		coord: CoordStats{Grants: -int64(n)},
 	}
 	s.tmem, _ = mem.(TimedMemory)
-	// Admission panics (deadlock, lock misuse) are raised inside a
-	// processor goroutine — the one driving at the time — and rethrown
-	// here so callers can recover them as before.
-	panicCh := make(chan any, 1)
-	var wg sync.WaitGroup
-	// Retained so the per-proc await outcome counters can be summed
-	// after the pool joins (one constant allocation per run, not per op).
-	procs := make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		s.reply[i] = make(chan struct{}, 1)
+	next := make([]func() (struct{}, bool), n)
+	stops := make([]func(), n)
+	for i := range next {
 		p := &Proc{ID: i, N: n, sim: s}
-		procs[i] = p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					select {
-					case panicCh <- r:
-					default:
-					}
-				}
-			}()
+		next[i], stops[i] = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			body(p)
 			p.op(opDone, 0, false, 0)
-		}()
+		})
+		s.ready = append(s.ready, int32(i))
 	}
-	allDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(allDone)
-	}()
-	select {
-	case <-allDone:
-	case r := <-panicCh:
-		panic(r)
-	}
-
-	res := Result{
-		Procs:      n,
-		ProcCycles: s.time,
-		Accesses:   s.accesses,
-		LockOps:    s.lockOps,
-		Barriers:   s.barriers,
-		Coord: CoordStats{
-			SelfServes:   s.selfServes,
-			Grants:       s.grants,
-			GateWakes:    s.gateWakes,
-			ChannelWakes: s.chanWakes,
-			MaxHeapDepth: s.maxHeap,
-		},
-	}
-	for _, p := range procs {
-		res.Coord.AwaitImmediate += p.awaitImmediate
-		res.Coord.AwaitSpins += p.awaitSpins
-		res.Coord.AwaitParks += p.awaitParks
-	}
-	for _, t := range s.time {
-		if t > res.Cycles {
-			res.Cycles = t
+	finished := false
+	defer func() {
+		if finished {
+			return
 		}
-	}
-	return res
-}
+		// Unwinding a panic: stopping a suspended body makes its yield
+		// return false, so it panics with errStopped, which stop
+		// re-raises here. That, or anything else a stopping body raises,
+		// is dropped in favour of the panic already unwinding.
+		for _, stop := range stops {
+			func() {
+				defer func() { _ = recover() }()
+				stop()
+			}()
+		}
+	}()
 
-// drive is the coordinator logic, run inline (under s.mu) by the last
-// runnable processor to post: serve posted operations in (time, id)
-// order until at least one body is released to run. There is no
-// dedicated coordinator goroutine — the admitting handoff goes
-// directly from the posting processor to the processor it releases,
-// which halves the goroutine wakeups per admitted operation, and a
-// processor whose own operation is the global minimum grants itself
-// and continues without parking at all.
-func (s *sim) drive() {
-	for s.running == 0 {
+	for {
+		if len(s.ready) > 0 {
+			pid := s.ready[0]
+			s.ready = s.ready[:copy(s.ready, s.ready[1:])]
+			s.coord.Grants++
+			next[pid]()
+			continue
+		}
 		if len(s.heap) == 0 {
 			if s.alive == 0 {
-				return
+				break
 			}
 			// Everyone alive is blocked: this is a workload deadlock
 			// (e.g. a barrier not joined by all procs). Fail loudly.
@@ -541,6 +330,22 @@ func (s *sim) drive() {
 		}
 		s.serve(s.pop())
 	}
+	finished = true
+
+	res := Result{
+		Procs:      n,
+		ProcCycles: s.time,
+		Accesses:   s.accesses,
+		LockOps:    s.lockOps,
+		Barriers:   s.barriers,
+		Coord:      s.coord,
+	}
+	for _, t := range s.time {
+		if t > res.Cycles {
+			res.Cycles = t
+		}
+	}
+	return res
 }
 
 // less orders posted procs by (virtual time, proc id) — the admission
@@ -564,8 +369,8 @@ func (s *sim) push(pid int32) {
 		i = parent
 	}
 	s.heap = h
-	if len(h) > s.maxHeap {
-		s.maxHeap = len(h)
+	if len(h) > s.coord.MaxHeapDepth {
+		s.coord.MaxHeapDepth = len(h)
 	}
 }
 
@@ -596,41 +401,8 @@ func (s *sim) pop() int32 {
 	return top
 }
 
-// grant releases the proc to run its body until its next post. The
-// reply channels are buffered, so the send never blocks the driver.
-// It revokes any stale self-serve rights: the plain grant is used
-// whenever another body may run concurrently (lock handoffs, barrier
-// releases).
-func (s *sim) grant(pid int32) {
-	s.fast[pid].ok = false
-	s.running++
-	s.grants++
-	s.wake(pid)
-}
-
-// grantFast is grant for serve steps that release exactly one
-// processor. When no other body is runnable (running == 0 — always
-// true for single-grant steps, by the drive-loop invariant), the
-// granted processor becomes the sole owner of the simulation state
-// until its next post, so it is handed the admission horizon and may
-// serve its own operations inline, with no mutex and no handoff,
-// while it stays below that horizon.
-func (s *sim) grantFast(pid int32) {
-	if s.running != 0 {
-		s.grant(pid)
-		return
-	}
-	h := &s.fast[pid]
-	if len(s.heap) > 0 {
-		top := s.heap[0]
-		h.time, h.id, h.ok = s.time[top], top, true
-	} else {
-		h.time, h.id, h.ok = ^uint64(0), int32(1<<30), true
-	}
-	s.running++
-	s.grants++
-	s.wake(pid)
-}
+// release queues pid to resume its body once its operation is served.
+func (s *sim) release(pid int32) { s.ready = append(s.ready, pid) }
 
 // lock returns the state for the lock id, growing the slot table on
 // first use (lock ids are dense small integers in every workload).
@@ -644,6 +416,8 @@ func (s *sim) lock(id int) *lockState {
 	return &s.locks[id]
 }
 
+// serve admits pid's posted operation at its virtual time and releases
+// whichever processors it unblocks.
 func (s *sim) serve(pid int32) {
 	r := &s.slots[pid]
 	switch r.kind {
@@ -656,7 +430,7 @@ func (s *sim) serve(pid int32) {
 		}
 		s.time[pid] += lat
 		s.accesses++
-		s.grantFast(pid)
+		s.release(pid)
 
 	case opLock:
 		s.lockOps++
@@ -669,11 +443,11 @@ func (s *sim) serve(pid int32) {
 				t = l.lastFree
 			}
 			s.time[pid] = t + s.costs.LockAcquire
-			s.grantFast(pid)
+			s.release(pid)
 			return
 		}
-		// Block until handoff (no grant: the proc posts nothing more
-		// until the lock holder releases it).
+		// Block until handoff: the proc posts nothing more until the
+		// lock holder releases it.
 		l.waiters = append(l.waiters, pid)
 
 	case opUnlock:
@@ -694,14 +468,11 @@ func (s *sim) serve(pid int32) {
 				t = now
 			}
 			s.time[w] = t + s.costs.LockHandoff
-			// Two grants: the waiter and the unlocker run concurrently,
-			// so neither may self-serve.
-			s.grant(w)
-			s.grant(pid)
-			return
+			s.release(w)
+		} else {
+			l.held = false
 		}
-		l.held = false
-		s.grantFast(pid)
+		s.release(pid)
 
 	case opBarrier:
 		s.barriers++
@@ -715,7 +486,7 @@ func (s *sim) serve(pid int32) {
 
 	case opDone:
 		s.alive--
-		s.wake(pid) // final grant: the body has returned
+		s.release(pid) // resumed only to return from the body
 		// A processor finishing can complete a barrier among the
 		// remaining ones.
 		if len(s.bar.waiting) > 0 && len(s.bar.waiting) >= s.alive {
@@ -728,18 +499,9 @@ func (s *sim) serve(pid int32) {
 // completion time.
 func (s *sim) releaseBarrier() {
 	release := s.bar.maxTime + s.costs.Barrier
-	if len(s.bar.waiting) == 1 {
-		// Sole waiter (single-processor runs, or the last survivor of a
-		// shrinking barrier): it resumes alone, so it keeps self-serve
-		// rights across the barrier.
-		w := s.bar.waiting[0]
+	for _, w := range s.bar.waiting {
 		s.time[w] = release
-		s.grantFast(w)
-	} else {
-		for _, w := range s.bar.waiting {
-			s.time[w] = release
-			s.grant(w)
-		}
+		s.release(w)
 	}
 	s.bar.waiting = s.bar.waiting[:0]
 	s.bar.maxTime = 0

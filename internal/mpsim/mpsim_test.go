@@ -1,6 +1,7 @@
 package mpsim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -216,5 +217,51 @@ func TestSplashStyleImbalanceLow(t *testing.T) {
 	})
 	if got := r.Imbalance(); got > 1.01 {
 		t.Errorf("post-barrier imbalance = %v, want ~1", got)
+	}
+}
+
+// TestAbandonedRunsLeakNoGoroutines: a Run that panics — a body panic
+// or a deadlock detected by the driver — re-raises the panic value to
+// the caller and stops every other processor's coroutine first, so
+// repeated recovered failures leave no goroutine behind.
+func TestAbandonedRunsLeakNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name string
+		want string
+		body func(p *Proc)
+	}{
+		{"body panic", "boom", func(p *Proc) {
+			p.Read(uint64(p.ID))
+			if p.ID == 2 {
+				panic("boom")
+			}
+			p.Barrier()
+		}},
+		{"deadlock", "mpsim: deadlock — all processors blocked", func(p *Proc) {
+			p.Read(uint64(p.ID))
+			if p.ID == 0 {
+				p.Lock(1)
+			}
+			p.Barrier() // proc 0 never unlocks; the others wait forever
+			p.Lock(1)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 20; i++ {
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					Run(4, &flatMemory{lat: 1}, DefaultSyncCosts(), tc.body)
+					return nil
+				}()
+				if got != tc.want {
+					t.Fatalf("run %d: recovered %v, want %q", i, got, tc.want)
+				}
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before, %d after 20 abandoned runs", before, after)
+			}
+		})
 	}
 }

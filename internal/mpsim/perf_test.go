@@ -28,9 +28,10 @@ func opsBody(ops int) func(p *Proc) {
 // TestRunZeroAllocsPerOp pins the coordinator hot path at ~0 heap
 // allocations per steady-state operation (the analogue of
 // memsys.TestAccessNsZeroAllocs for the multiprocessor path). Run has
-// fixed startup costs — goroutines, the heap, the reply channels — so
-// the guard measures the marginal allocations between a short and a
-// long run of the same body and requires them to vanish per op.
+// fixed startup costs — one coroutine per processor, the heap, the
+// slots — so the guard measures the marginal allocations between a
+// short and a long run of the same body and requires them to vanish
+// per op.
 func TestRunZeroAllocsPerOp(t *testing.T) {
 	const procs = 4
 	measure := func(ops int) float64 {
@@ -49,7 +50,7 @@ func TestRunZeroAllocsPerOp(t *testing.T) {
 
 // BenchmarkCoordinatorOps measures the coordinator alone — a flat
 // memory model, so ns/op is the cost of one posted-and-served
-// operation: slot write, handoff, heap push/pop, grant.
+// operation: slot write, coroutine switch, heap push/pop, release.
 func BenchmarkCoordinatorOps(b *testing.B) {
 	const procs = 4
 	b.ReportAllocs()

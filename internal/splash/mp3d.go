@@ -89,8 +89,8 @@ func runMP3D(nproc int, m *coherence.Machine, sz Size) mpsim.Result {
 	}
 	// cells is incremented by whichever processor's particle lands in a
 	// cell. This is safe without extra locking: mpsim serialises worker
-	// compute sections (exactly one body goroutine runs between
-	// coordinator handoffs), so host-side updates are totally ordered
-	// even though the *simulated* accesses contend and invalidate.
+	// compute sections (exactly one body coroutine runs at a time), so
+	// host-side updates are totally ordered even though the *simulated*
+	// accesses contend and invalidate.
 	return mpsim.Run(nproc, m, m.Lat.SyncCosts(), body)
 }

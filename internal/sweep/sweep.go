@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,7 +180,18 @@ func (e *Engine) cacheCounters() cacheCounters {
 // cacheable, otherwise directly. Acquire single-flights the key for
 // the whole lookup-or-compute-and-store span, so N concurrent units
 // sharing a key cost one computation and N-1 decodes.
-func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (interface{}, error) {
+//
+// A panic in the unit becomes its error, carrying the stack, so it
+// fails the unit's own run through the usual unit_failed path rather
+// than the process and every other queued run. The stack shows where
+// the panic was raised; for a workload-body panic, which mpsim re-raises
+// through iter.Pull, that is mpsim's driver loop, not the body.
+func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (v interface{}, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
 	if e.Cache == nil || u.Key == "" || u.Codec == nil {
 		return u.Run()
 	}
@@ -196,7 +208,7 @@ func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (interface{}, error) {
 		cc.decodeFailures.Inc()
 	}
 	cc.misses.Inc()
-	v, err := u.Run()
+	v, err = u.Run()
 	if err != nil {
 		return nil, err
 	}

@@ -154,6 +154,44 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestUnitPanicFailsOnlyItsRun: a panicking unit — here a cached one,
+// so it panics while holding its single-flight key — becomes that
+// unit's error with the stack attached, counts as a failed unit, and
+// leaves the engine, the cache key and the process usable for the next
+// run.
+func TestUnitPanicFailsOnlyItsRun(t *testing.T) {
+	cache := newMapCache()
+	reg := obs.NewRegistry()
+	e := &Engine{Workers: 2, Cache: cache, Obs: reg}
+	var ran int64
+	bad := cachedJob("bad", 3, &ran)
+	bad.Units[1].Run = func() (interface{}, error) { panic("boom") }
+	err := e.Run([]Job{slowFirst("ok", 3), bad, slowFirst("after", 3)}, nil)
+	if err == nil {
+		t.Fatal("run with a panicking unit succeeded")
+	}
+	for _, want := range []string{"bad/u1", "panic: boom", "TestUnitPanicFailsOnlyItsRun"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not contain %q:\n%v", want, err)
+		}
+	}
+	if got := reg.Counter("sweep", "units_failed").Value(); got != 1 {
+		t.Errorf("units_failed = %d, want 1", got)
+	}
+	if _, ok := cache.Get("bad-u1-key"); ok {
+		t.Error("the panicking unit stored a result")
+	}
+
+	// The key the panic held is released, and the engine runs on.
+	v, err := e.RunJob(cachedJob("bad", 3, &ran))
+	if err != nil {
+		t.Fatalf("rerun after the panic: %v", err)
+	}
+	if v != 0+1+4 {
+		t.Errorf("rerun value = %v, want 5", v)
+	}
+}
+
 // TestAssembleError: an assembly failure is reported with the job name.
 func TestAssembleError(t *testing.T) {
 	j := Job{
